@@ -15,27 +15,25 @@
 //!    from the logged [`ScenarioSummary`].
 //! 3. **Re-drive** — scenarios without a terminal event run live on the
 //!    runner's thread pool, appending to the same log with a bumped
-//!    attempt number.
+//!    attempt number. This is the same pool, per-attempt step, merge and
+//!    close that [`CampaignRunner::run`] uses (a run is a resume with
+//!    nothing replayed), so a resume prints progress and streams completed
+//!    prefixes into the portal exactly as a run does.
 //!
 //! The merged report publishes in input order, so its fingerprint is
 //! bit-identical to the uninterrupted run's.
 
 use crate::app::{AppError, ExperimentOutcome};
 use crate::backend::{LabBackend, ReplayBackend};
-use crate::campaign::events::{
-    CampaignEvent, EventLog, EventScope, RecoveryReport, ScenarioSummary,
-};
-use crate::campaign::publish::{publish_campaign_record, publish_scenario};
+use crate::campaign::events::{CampaignEvent, EventLog, RecoveryReport, ScenarioSummary};
 use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
-use crate::campaign::runner::{best_of, execute, CampaignRunner};
+use crate::campaign::runner::CampaignRunner;
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::experiment::Experiment;
 use sdl_datapub::SampleRecord;
-use sdl_vision::DetectorScratch;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// What a resume restored versus re-executed.
 #[derive(Debug, Clone)]
@@ -153,7 +151,11 @@ impl CampaignRunner {
         })?;
         let n = specs.len();
 
-        let todo: Vec<usize> = (0..n).filter(|&i| mined[i].terminal.is_none()).collect();
+        // Unfinished scenarios re-drive at their next attempt number.
+        let todo: Vec<(usize, u32)> = (0..n)
+            .filter(|&i| mined[i].terminal.is_none())
+            .map(|i| (i, mined[i].last_attempt.map_or(0, |a| a + 1)))
+            .collect();
         let (replayed, redriven) = (n - todo.len(), todo.len());
         log.append(&CampaignEvent::CampaignResumed { replayed, redriven });
 
@@ -172,91 +174,11 @@ impl CampaignRunner {
             slots[i] = Some(ScenarioResult { spec, index: i, outcome });
         }
 
-        // Re-drive the rest live, appending to the recovered log.
-        if !todo.is_empty() {
-            let workers = self.threads.min(todo.len());
-            let todo = Arc::new(todo);
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, ScenarioResult)>();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let todo = Arc::clone(&todo);
-                    let (specs, mined, log, next) = (&specs, &mined, &log, &next);
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let mut scratch = DetectorScratch::default();
-                        let me = format!("local-{w}");
-                        loop {
-                            let pos = next.fetch_add(1, Ordering::Relaxed);
-                            if pos >= todo.len() {
-                                break;
-                            }
-                            let i = todo[pos];
-                            let spec = specs[i].clone();
-                            let attempt = mined[i].last_attempt.map_or(0, |a| a + 1);
-                            log.append(&CampaignEvent::ScenarioClaimed {
-                                index: i,
-                                worker: me.clone(),
-                                claim: "own".to_string(),
-                                queue_depth: todo.len() - (pos + 1),
-                            });
-                            log.append(&CampaignEvent::ScenarioStarted {
-                                index: i,
-                                label: spec.label.clone(),
-                                attempt,
-                                worker: me.clone(),
-                            });
-                            let ev = EventScope::new(Arc::clone(log), i, attempt);
-                            let outcome = execute(&spec, &mut scratch, Some(ev));
-                            log.append(&match &outcome {
-                                Ok(o) => CampaignEvent::ScenarioFinished {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt,
-                                    worker: me.clone(),
-                                    summary: ScenarioSummary::of(o),
-                                },
-                                Err(e) => CampaignEvent::ScenarioFailed {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt,
-                                    worker: me.clone(),
-                                    error: e.to_string(),
-                                },
-                            });
-                            if tx.send((i, ScenarioResult { spec, index: i, outcome })).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, result) in rx {
-                    slots[i] = Some(result);
-                }
-            });
-        }
-
-        // Publish the merged campaign in input order, exactly as an
+        // Re-drive the rest on the runner's pool, appending to the
+        // recovered log; the merge publishes in input order, exactly as an
         // uninterrupted run streams it.
-        let results: Vec<ScenarioResult> =
-            slots.into_iter().map(|s| s.expect("every scenario slot filled")).collect();
-        for result in &results {
-            publish_scenario(&self.portal, &self.store, self.publish_records, result);
-        }
-        publish_campaign_record(&self.portal, &results);
-        log.append(&CampaignEvent::CampaignClosed {
-            scenarios: n,
-            failed: results.iter().filter(|r| r.outcome.is_err()).count(),
-            best_score: best_of(&results),
-            scheduler: None,
-        });
-
-        let stats = ResumeStats { replayed, redriven, recovery };
-        Ok((
-            CampaignReport { results, portal: Arc::clone(&self.portal), threads: self.threads },
-            stats,
-        ))
+        let report = self.drive(&specs, Some(&log), slots, &todo);
+        Ok((report, ResumeStats { replayed, redriven, recovery }))
     }
 }
 

@@ -1,15 +1,23 @@
-//! The parallel campaign executor.
+//! The parallel campaign executor, and the per-attempt step every
+//! executor shares.
+//!
+//! [`CampaignRunner::run`] is a resume with nothing replayed, so it and
+//! [`CampaignRunner::resume`] drive one local thread pool. Every lane of
+//! every executor — these pool threads (`local-N`), the scheduler's own
+//! `driver` lane and its remote lanes (the worker URL) — runs a scenario
+//! attempt through one `step`: claim, start, execute, finish. The results
+//! go through one in-order merge and one close (`publish.rs`).
 
+use crate::app::AppError;
 use crate::backend::BackendSpec;
 use crate::campaign::events::{CampaignEvent, EventLog, EventScope, ScenarioSummary};
-use crate::campaign::publish::{publish_campaign_record, publish_scenario};
+use crate::campaign::publish::Merge;
 use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::experiment::Experiment;
 use crate::multi::run_multi_ot2;
 use sdl_datapub::{AcdcPortal, BlobStore};
 use sdl_vision::DetectorScratch;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -120,17 +128,8 @@ impl CampaignRunner {
     pub fn run(&self, scenarios: Vec<ScenarioSpec>) -> CampaignReport {
         let n = scenarios.len();
         if n == 0 {
-            return CampaignReport {
-                results: Vec::new(),
-                portal: Arc::clone(&self.portal),
-                threads: self.threads,
-            };
+            return self.report(Vec::new());
         }
-        let workers = self.threads.min(n);
-        let scenarios = Arc::new(scenarios);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, ScenarioResult)>();
-
         if let Some(log) = &self.events {
             log.append(&CampaignEvent::CampaignOpened {
                 campaign: self.name.clone(),
@@ -139,14 +138,28 @@ impl CampaignRunner {
                 specs: scenarios.iter().map(|s| s.to_value()).collect(),
             });
         }
+        // A run is a resume with nothing replayed: every index at attempt 0.
+        let todo: Vec<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
+        self.drive(&scenarios, self.events.as_ref(), (0..n).map(|_| None).collect(), &todo)
+    }
 
-        let mut slots: Vec<Option<ScenarioResult>> = (0..n).map(|_| None).collect();
+    /// The local thread pool behind [`run`](Self::run) and
+    /// [`resume`](Self::resume): execute each `(index, attempt)` in `todo`,
+    /// merge the results with the already-filled `slots`, and close.
+    pub(crate) fn drive(
+        &self,
+        specs: &[ScenarioSpec],
+        log: Option<&Arc<EventLog>>,
+        slots: Vec<Option<ScenarioResult>>,
+        todo: &[(usize, u32)],
+    ) -> CampaignReport {
+        let mut merge =
+            Merge::new(&self.portal, &self.store, self.publish_records, self.progress, slots);
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<ScenarioResult>();
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let scenarios = Arc::clone(&scenarios);
-                let next = &next;
-                let tx = tx.clone();
-                let events = self.events.as_ref();
+            for w in 0..self.threads.min(todo.len()) {
+                let (tx, next) = (tx.clone(), &next);
                 scope.spawn(move || {
                     // One scratch arena per worker thread: detector buffers
                     // (several MB) are reused across every scenario this
@@ -154,103 +167,111 @@ impl CampaignRunner {
                     let mut scratch = DetectorScratch::default();
                     let me = format!("local-{w}");
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= scenarios.len() {
-                            break;
-                        }
-                        let spec = scenarios[i].clone();
-                        if let Some(log) = events {
-                            log.append(&CampaignEvent::ScenarioClaimed {
-                                index: i,
-                                worker: me.clone(),
-                                claim: "own".to_string(),
-                                queue_depth: scenarios.len() - (i + 1),
-                            });
-                            log.append(&CampaignEvent::ScenarioStarted {
-                                index: i,
-                                label: spec.label.clone(),
-                                attempt: 0,
-                                worker: me.clone(),
-                            });
-                        }
-                        let ev = events.map(|log| EventScope::new(Arc::clone(log), i, 0));
-                        let outcome = execute(&spec, &mut scratch, ev);
-                        if let Some(log) = events {
-                            log.append(&match &outcome {
-                                Ok(o) => CampaignEvent::ScenarioFinished {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt: 0,
-                                    worker: me.clone(),
-                                    summary: ScenarioSummary::of(o),
-                                },
-                                Err(e) => CampaignEvent::ScenarioFailed {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt: 0,
-                                    worker: me.clone(),
-                                    error: e.to_string(),
-                                },
-                            });
-                        }
-                        let result = ScenarioResult { spec, index: i, outcome };
-                        if tx.send((i, result)).is_err() {
+                        let pos = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(index, attempt)) = todo.get(pos) else { break };
+                        let claimed = Claimed {
+                            index,
+                            attempt,
+                            worker: &me,
+                            claim: "own",
+                            queue_depth: todo.len() - (pos + 1),
+                            victim: None,
+                        };
+                        let spec = &specs[index];
+                        if !step(log, &tx, spec, claimed, |ev| {
+                            Some(execute(spec, &mut scratch, ev))
+                        }) {
                             break;
                         }
                     }
                 });
             }
             drop(tx);
-
-            // Collect on this thread, publishing completed prefixes in input
-            // order so the portal stream is deterministic too.
-            let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
-            let mut next_publish = 0usize;
-            let mut done = 0usize;
-            while done < n {
-                let (i, result) = rx.recv().expect("campaign worker channel closed early");
-                done += 1;
-                if self.progress {
-                    eprintln!(
-                        "[{done}/{n}] {} {}",
-                        result.spec.label,
-                        match &result.outcome {
-                            Ok(o) => format!("best {:.2} in {}", o.best_score(), o.duration()),
-                            Err(e) => format!("FAILED: {e}"),
-                        }
-                    );
-                }
-                pending.insert(i, result);
-                while let Some(result) = pending.remove(&next_publish) {
-                    publish_scenario(&self.portal, &self.store, self.publish_records, &result);
-                    slots[next_publish] = Some(result);
-                    next_publish += 1;
-                }
+            for result in rx {
+                merge.accept(result);
             }
         });
+        self.report(merge.close(log, |_, _| None))
+    }
 
-        let results: Vec<ScenarioResult> =
-            slots.into_iter().map(|s| s.expect("every scenario slot filled")).collect();
-        publish_campaign_record(&self.portal, &results);
-        if let Some(log) = &self.events {
-            log.append(&CampaignEvent::CampaignClosed {
-                scenarios: n,
-                failed: results.iter().filter(|r| r.outcome.is_err()).count(),
-                best_score: best_of(&results),
-                scheduler: None,
-            });
-        }
+    fn report(&self, results: Vec<ScenarioResult>) -> CampaignReport {
         CampaignReport { results, portal: Arc::clone(&self.portal), threads: self.threads }
     }
 }
 
-/// Best (lowest) score across successful scenarios, if any.
-pub(crate) fn best_of(results: &[ScenarioResult]) -> Option<f64> {
-    results
-        .iter()
-        .filter_map(|r| r.outcome.as_ref().ok())
-        .map(|o| o.best_score())
-        .fold(None, |a, s| Some(a.map_or(s, |a: f64| a.min(s))))
+/// Who runs which attempt of a scenario, and how it was claimed: the
+/// fields of its `scenario_claimed` and `scenario_started` events.
+pub(crate) struct Claimed<'a> {
+    pub(crate) index: usize,
+    pub(crate) attempt: u32,
+    /// The lane: `local-N`, `driver` or a worker URL.
+    pub(crate) worker: &'a str,
+    /// `own`, `retry`, `stolen`, `local` or `fallback`.
+    pub(crate) claim: &'a str,
+    pub(crate) queue_depth: usize,
+    /// The peer a steal took the scenario from.
+    pub(crate) victim: Option<&'a str>,
+}
+
+/// The per-attempt step every lane shares: `scenario_claimed` (plus
+/// `worker_stolen_from` for a steal) and `scenario_started`, then `drive`
+/// with the attempt's event scope, then `scenario_finished|failed` and the
+/// hand-over to the merge. `drive` returns `None` when the attempt did not
+/// end the scenario (a remote lane requeued it); nothing more is written
+/// then. Returns `false` once the merge has hung up.
+pub(crate) fn step(
+    log: Option<&Arc<EventLog>>,
+    tx: &mpsc::Sender<ScenarioResult>,
+    spec: &ScenarioSpec,
+    c: Claimed<'_>,
+    drive: impl FnOnce(Option<EventScope>) -> Option<Result<ScenarioOutcome, AppError>>,
+) -> bool {
+    let (index, attempt, worker) = (c.index, c.attempt, c.worker);
+    if let Some(log) = log {
+        log.append(&CampaignEvent::ScenarioClaimed {
+            index,
+            worker: worker.to_string(),
+            claim: c.claim.to_string(),
+            queue_depth: c.queue_depth,
+        });
+        if let Some(victim) = c.victim {
+            log.append(&CampaignEvent::WorkerStolenFrom {
+                victim: victim.to_string(),
+                thief: worker.to_string(),
+                index,
+            });
+        }
+        log.append(&CampaignEvent::ScenarioStarted {
+            index,
+            label: spec.label.clone(),
+            attempt,
+            worker: worker.to_string(),
+        });
+    }
+    let Some(outcome) = drive(log.map(|log| EventScope::new(Arc::clone(log), index, attempt)))
+    else {
+        return true;
+    };
+    if let Some(log) = log {
+        let (label, worker) = (spec.label.clone(), worker.to_string());
+        log.append(&match &outcome {
+            Ok(o) => CampaignEvent::ScenarioFinished {
+                index,
+                label,
+                attempt,
+                worker,
+                summary: ScenarioSummary::of(o),
+            },
+            Err(e) => CampaignEvent::ScenarioFailed {
+                index,
+                label,
+                attempt,
+                worker,
+                error: e.to_string(),
+            },
+        });
+    }
+    tx.send(ScenarioResult { spec: spec.clone(), index, outcome }).is_ok()
 }
 
 /// Run one scenario to completion (workers call this; also the single-run
@@ -263,7 +284,7 @@ pub(crate) fn execute(
     spec: &ScenarioSpec,
     scratch: &mut DetectorScratch,
     events: Option<EventScope>,
-) -> Result<ScenarioOutcome, crate::app::AppError> {
+) -> Result<ScenarioOutcome, AppError> {
     match spec.mode {
         RunMode::Single => {
             let mut session = Experiment::new(spec.config.clone())?;
@@ -278,7 +299,7 @@ pub(crate) fn execute(
         }
         RunMode::MultiOt2(n) => {
             if spec.backend != BackendSpec::Sim {
-                return Err(crate::app::AppError::Setup(format!(
+                return Err(AppError::Setup(format!(
                     "multi-OT2 scenarios only run on the sim backend (got '{}')",
                     spec.backend
                 )));
@@ -389,52 +410,123 @@ mod tests {
 
     #[test]
     fn event_log_captures_the_full_lifecycle() {
-        let log = Arc::new(EventLog::in_memory());
-        let report = CampaignRunner::new()
-            .threads(2)
+        use crate::campaign::CampaignScheduler;
+        let tmp = |name: &str| {
+            std::env::temp_dir().join(format!("sdl-lifecycle-{}-{name}.jsonl", std::process::id()))
+        };
+        // A torn log to resume from: a one-thread run cut mid-line right
+        // after scenario a's first batch_asked, so a resume re-drives both
+        // scenarios, a at attempt 1 and b at attempt 0.
+        let source = tmp("source");
+        CampaignRunner::new()
+            .threads(1)
             .name("lifecycle")
-            .with_events(Arc::clone(&log))
+            .with_events(Arc::new(EventLog::create(&source).unwrap()))
             .run(vec![spec("a", 1), spec("b", 2)]);
-        assert_eq!(report.len(), 2);
+        let raw = std::fs::read_to_string(&source).unwrap();
+        let lines: Vec<&str> = raw.split_inclusive('\n').collect();
+        let asked = lines.iter().position(|l| l.contains("batch_asked")).unwrap();
+        let torn = lines[..=asked].concat() + &lines[asked + 1][..lines[asked + 1].len() / 2];
 
-        let (lines, head, closed) = log.lines_from(1, usize::MAX);
-        assert_eq!(lines.len() as u64, head);
-        assert!(closed, "campaign_closed must mark the log closed");
-        let events: Vec<CampaignEvent> = lines
-            .iter()
-            .map(|(_, l)| crate::campaign::EventRecord::from_line(l).unwrap().event)
-            .collect();
-        assert!(
-            matches!(&events[0], CampaignEvent::CampaignOpened { campaign, specs, .. }
-                if campaign == "lifecycle" && specs.len() == 2),
-            "first event must be campaign_opened"
-        );
-        assert!(matches!(
-            events.last(),
-            Some(CampaignEvent::CampaignClosed { scenarios: 2, failed: 0, .. })
-        ));
-        let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
-        assert_eq!(count("scenario_claimed"), 2);
-        assert_eq!(count("scenario_started"), 2);
-        assert_eq!(count("scenario_finished"), 2);
-        // 4 samples per scenario in batches of 2 → 2 asks, 2 tells each.
-        assert_eq!(count("batch_asked"), 4);
-        assert_eq!(count("batch_told"), 4);
-        assert_eq!(count("sample_published"), 8);
-        // Every batch is asked before it is told, per scenario.
-        for idx in 0..2usize {
-            let mut asked = 0u32;
-            for e in &events {
-                match e {
-                    CampaignEvent::BatchAsked { index, run, .. } if *index == idx => {
-                        asked = *run;
+        // (executor, expected worker prefix, claim kind, attempt per index)
+        let executors = [
+            ("runner", "local-", "own", [0, 0]),
+            ("scheduler", "driver", "local", [0, 0]),
+            ("resume", "local-", "own", [1, 0]),
+        ];
+        for (executor, worker, claim, attempts) in executors {
+            let path = tmp(executor);
+            let log = || Arc::new(EventLog::create(&path).unwrap());
+            let scenarios = vec![spec("a", 1), spec("b", 2)];
+            let report = match executor {
+                "runner" => CampaignRunner::new()
+                    .threads(2)
+                    .name("lifecycle")
+                    .with_events(log())
+                    .run(scenarios),
+                "scheduler" => {
+                    CampaignScheduler::new(vec![])
+                        .name("lifecycle")
+                        .with_events(log())
+                        .run(scenarios)
+                        .0
+                }
+                _ => {
+                    std::fs::write(&path, &torn).unwrap();
+                    CampaignRunner::new().threads(2).resume(&path).unwrap().0
+                }
+            };
+            assert_eq!(report.len(), 2, "{executor}");
+
+            let (log, _, _) = EventLog::recover(&path).unwrap();
+            let (lines, head, closed) = log.lines_from(1, usize::MAX);
+            assert_eq!(lines.len() as u64, head, "{executor}");
+            assert!(closed, "{executor}: campaign_closed must mark the log closed");
+            let events: Vec<CampaignEvent> = lines
+                .iter()
+                .map(|(_, l)| crate::campaign::EventRecord::from_line(l).unwrap().event)
+                .collect();
+            assert!(
+                matches!(&events[0], CampaignEvent::CampaignOpened { campaign, specs, .. }
+                    if campaign == "lifecycle" && specs.len() == 2),
+                "{executor}: first event must be campaign_opened"
+            );
+            assert!(matches!(
+                events.last(),
+                Some(CampaignEvent::CampaignClosed { scenarios: 2, failed: 0, .. })
+            ));
+            // What this executor wrote: a resume's events follow its marker.
+            let own = match events.iter().position(|e| e.kind() == "campaign_resumed") {
+                Some(p) => &events[p + 1..],
+                None => &events[..],
+            };
+            let count = |kind: &str| own.iter().filter(|e| e.kind() == kind).count();
+            assert_eq!(count("scenario_claimed"), 2, "{executor}");
+            assert_eq!(count("scenario_started"), 2, "{executor}");
+            assert_eq!(count("scenario_finished"), 2, "{executor}");
+            // 4 samples per scenario in batches of 2 → 2 asks, 2 tells each.
+            assert_eq!(count("batch_asked"), 4, "{executor}");
+            assert_eq!(count("batch_told"), 4, "{executor}");
+            assert_eq!(count("sample_published"), 8, "{executor}");
+            for (idx, &expected_attempt) in attempts.iter().enumerate() {
+                // Every batch is asked before it is told, per scenario.
+                let mut asked = 0u32;
+                for e in own {
+                    match e {
+                        CampaignEvent::BatchAsked { index, run, .. } if *index == idx => {
+                            asked = *run;
+                        }
+                        CampaignEvent::BatchTold { index, run, .. } if *index == idx => {
+                            assert!(*run <= asked, "told run {run} before it was asked");
+                        }
+                        _ => {}
                     }
-                    CampaignEvent::BatchTold { index, run, .. } if *index == idx => {
-                        assert!(*run <= asked, "told run {run} before it was asked");
+                }
+                // Each scenario's worker, claim kind and attempt number.
+                for e in own {
+                    match e {
+                        CampaignEvent::ScenarioClaimed { index, worker: w, claim: c, .. }
+                            if *index == idx =>
+                        {
+                            assert!(w.starts_with(worker), "{executor}: {w} claimed {idx}");
+                            assert_eq!(c, claim, "{executor}: claim of {idx}");
+                        }
+                        CampaignEvent::ScenarioStarted { index, worker: w, attempt, .. }
+                        | CampaignEvent::ScenarioFinished { index, worker: w, attempt, .. }
+                            if *index == idx =>
+                        {
+                            assert!(w.starts_with(worker), "{executor}: {w} ran {idx}");
+                            assert_eq!(*attempt, expected_attempt, "{executor}: attempt of {idx}");
+                        }
+                        CampaignEvent::BatchAsked { index, attempt, .. } if *index == idx => {
+                            assert_eq!(*attempt, expected_attempt, "{executor}: attempt of {idx}");
+                        }
+                        _ => {}
                     }
-                    _ => {}
                 }
             }
+            let _ = std::fs::remove_file(path);
         }
+        let _ = std::fs::remove_file(source);
     }
 }

@@ -16,6 +16,11 @@
 //! single-process run at any worker count, shard size, steal or failure
 //! interleaving.
 //!
+//! Only the claiming is the scheduler's own. Each lane — one per remote
+//! worker plus the driver process's own lane — runs its attempts through
+//! the per-attempt step [`CampaignRunner`](crate::CampaignRunner) uses, and
+//! the results go through the same in-order merge and close.
+//!
 //! # Determinism
 //!
 //! Every scenario derives all randomness from its own spec: the solver
@@ -37,18 +42,17 @@
 
 use crate::app::AppError;
 use crate::backend::{BackendSpec, RemoteBackend, RetryPolicy};
-use crate::campaign::events::{CampaignEvent, EventLog, EventScope, ScenarioSummary};
-use crate::campaign::publish::{publish_campaign_record, publish_scenario};
+use crate::campaign::events::{CampaignEvent, EventLog, EventScope};
+use crate::campaign::publish::Merge;
 use crate::campaign::queue::{Claim, ShardQueue};
 use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
-use crate::campaign::runner::{best_of, execute};
+use crate::campaign::runner::{execute, step, Claimed};
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::chaos::{self, ChaosPolicy};
 use crate::experiment::Experiment;
 use sdl_conf::Value;
 use sdl_datapub::{AcdcPortal, BlobStore};
 use sdl_vision::DetectorScratch;
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -440,20 +444,11 @@ impl CampaignScheduler {
             });
         }
 
-        // Partition: scenarios shippable over /v1 (single-loop on the sim
-        // backend — the worker instantiates the lab from the config) vs
-        // everything that must run in the driver process.
+        // Partition: scenarios that can ship over /v1 vs everything that
+        // must run in the driver process.
         let deal_started = Instant::now();
-        let shippable: Vec<usize> = (0..n)
-            .filter(|&i| {
-                scenarios[i].mode == RunMode::Single && scenarios[i].backend == BackendSpec::Sim
-            })
-            .collect();
-        let local: Vec<usize> = (0..n)
-            .filter(|&i| {
-                !(scenarios[i].mode == RunMode::Single && scenarios[i].backend == BackendSpec::Sim)
-            })
-            .collect();
+        let (shippable, local): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&i| can_ship(&scenarios[i]));
 
         let pool = self.workers.len();
         let shard_size = self.shard.unwrap_or_else(|| {
@@ -471,7 +466,6 @@ impl CampaignScheduler {
         let queue = ShardQueue::deal(queued, pool.max(1), shard_size);
         sched.phases.deal = deal_started.elapsed();
 
-        let scenarios = Arc::new(scenarios);
         // Per-scenario execution attempt counter: every start (first try,
         // retry after eviction, local fallback) gets a distinct attempt
         // number in the event log, so resume can tell partial attempts from
@@ -480,18 +474,23 @@ impl CampaignScheduler {
         // Drivers currently holding a live worker; the in-process fallback
         // only engages when this reaches zero.
         let healthy = AtomicUsize::new(pool);
-        let (tx, rx) = mpsc::channel::<(usize, ScenarioResult)>();
+        let (tx, rx) = mpsc::channel::<ScenarioResult>();
         let stats: Vec<parking_lot::Mutex<WorkerStats>> =
             sched.workers.drain(..).map(parking_lot::Mutex::new).collect();
 
-        let mut slots: Vec<Option<ScenarioResult>> = (0..n).map(|_| None).collect();
-        let mut merge_spent = Duration::ZERO;
+        let mut merge = Merge::new(
+            &self.portal,
+            &self.store,
+            self.publish_records,
+            self.progress,
+            (0..n).map(|_| None).collect(),
+        );
         std::thread::scope(|scope| {
             // One driver thread per remote worker.
             for (w, url) in self.workers.iter().enumerate() {
-                let scenarios = Arc::clone(&scenarios);
                 let tx = tx.clone();
-                let (queue, healthy, stats) = (&queue, &healthy, &stats[w]);
+                let (scenarios, queue, healthy, stats) =
+                    (&scenarios[..], &queue, &healthy, &stats[w]);
                 // Per-worker jitter seed: drivers retrying the same dead
                 // peer spread their backoff waits apart (a no-op unless the
                 // policy opted into jitter).
@@ -507,7 +506,7 @@ impl CampaignScheduler {
                     drive_worker(
                         w,
                         url,
-                        &scenarios,
+                        scenarios,
                         queue,
                         healthy,
                         stats,
@@ -526,41 +525,27 @@ impl CampaignScheduler {
             // The driver process's own executor: runs unshippable scenarios,
             // then stands by as the last-resort fallback for a dead pool.
             {
-                let scenarios = Arc::clone(&scenarios);
                 let tx = tx.clone();
-                let (queue, healthy) = (&queue, &healthy);
+                let (scenarios, queue, healthy) = (&scenarios[..], &queue, &healthy);
                 let (events, attempts) = (self.events.as_ref(), &attempts[..]);
                 let local = [local, extra_local.to_vec()].concat();
                 scope.spawn(move || {
                     let mut scratch = DetectorScratch::default();
-                    let run_local =
-                        |i: usize, claim: &str, depth: usize, scratch: &mut DetectorScratch| {
-                            let spec = scenarios[i].clone();
-                            let attempt = attempts[i].fetch_add(1, Ordering::Relaxed);
-                            if let Some(log) = events {
-                                log.append(&CampaignEvent::ScenarioClaimed {
-                                    index: i,
-                                    worker: "driver".to_string(),
-                                    claim: claim.to_string(),
-                                    queue_depth: depth,
-                                });
-                                log.append(&CampaignEvent::ScenarioStarted {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt,
-                                    worker: "driver".to_string(),
-                                });
-                            }
-                            let ev = events.map(|log| EventScope::new(Arc::clone(log), i, attempt));
-                            let outcome = execute(&spec, scratch, ev);
-                            if let Some(log) = events {
-                                log.append(&finish_event(i, &spec, attempt, "driver", &outcome));
-                            }
-                            ScenarioResult { spec, index: i, outcome }
+                    let mut run_local = |index: usize, claim: &str, queue_depth: usize| {
+                        let attempt = attempts[index].fetch_add(1, Ordering::Relaxed);
+                        let claimed = Claimed {
+                            index,
+                            attempt,
+                            worker: "driver",
+                            claim,
+                            queue_depth,
+                            victim: None,
                         };
+                        let spec = &scenarios[index];
+                        step(events, &tx, spec, claimed, |ev| Some(execute(spec, &mut scratch, ev)))
+                    };
                     for (pos, &i) in local.iter().enumerate() {
-                        let result = run_local(i, "local", local.len() - (pos + 1), &mut scratch);
-                        if tx.send((i, result)).is_err() {
+                        if !run_local(i, "local", local.len() - (pos + 1)) {
                             return;
                         }
                     }
@@ -579,77 +564,41 @@ impl CampaignScheduler {
                             std::thread::sleep(IDLE_POLL);
                             continue;
                         };
-                        let depth = queue.outstanding().saturating_sub(1);
-                        let result = run_local(i, "fallback", depth, &mut scratch);
+                        let sent = run_local(i, "fallback", queue.outstanding().saturating_sub(1));
                         queue.complete_one();
-                        if tx.send((i, result)).is_err() {
+                        if !sent {
                             return;
                         }
                     }
                 });
             }
             drop(tx);
-
-            // Deterministic merge: collect results, publish completed
-            // prefixes in input order (same protocol as CampaignRunner).
-            let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
-            let mut next_publish = 0usize;
-            let mut done = 0usize;
-            while done < n {
-                let (i, result) = rx.recv().expect("scheduler worker channel closed early");
-                done += 1;
-                if self.progress {
-                    eprintln!(
-                        "[{done}/{n}] {} {}",
-                        result.spec.label,
-                        match &result.outcome {
-                            Ok(o) => format!("best {:.2} in {}", o.best_score(), o.duration()),
-                            Err(e) => format!("FAILED: {e}"),
-                        }
-                    );
-                }
-                pending.insert(i, result);
-                let merge_started = Instant::now();
-                while let Some(result) = pending.remove(&next_publish) {
-                    publish_scenario(&self.portal, &self.store, self.publish_records, &result);
-                    slots[next_publish] = Some(result);
-                    next_publish += 1;
-                }
-                merge_spent += merge_started.elapsed();
+            for result in rx {
+                merge.accept(result);
             }
         });
 
-        let results: Vec<ScenarioResult> =
-            slots.into_iter().map(|s| s.expect("every scenario slot filled")).collect();
-        let merge_started = Instant::now();
-        publish_campaign_record(&self.portal, &results);
-        merge_spent += merge_started.elapsed();
-
-        sched.workers = stats.into_iter().map(|m| m.into_inner()).collect();
-        let remote_done: u64 = sched.workers.iter().map(|w| w.completed).sum();
-        sched.local = local_unshippable_count(&results);
-        // Quarantined scenarios were terminated by a remote driver, not run
-        // by the in-process fallback — keep them out of its tally.
-        sched.fallback =
-            (n as u64).saturating_sub(remote_done + sched.local + sched.total_quarantined());
-        sched.wall = started.elapsed();
-        sched.samples = results
-            .iter()
-            .filter_map(|r| r.outcome.as_ref().ok())
-            .map(|o| o.samples_measured() as u64)
-            .sum();
-        sched.phases.merge = merge_spent;
-        sched.phases.steal = sched.workers.iter().map(|w| w.steal_busy).sum();
-        sched.phases.retry = sched.workers.iter().map(|w| w.retry_busy).sum();
-        self.portal.ingest(sched.to_value());
-        if let Some(log) = &self.events {
-            log.append(&CampaignEvent::CampaignClosed {
-                scenarios: n,
-                failed: results.iter().filter(|r| r.outcome.is_err()).count(),
-                best_score: best_of(&results),
-                scheduler: Some(sched.to_value()),
-            });
-        }
+        let results = merge.close(self.events.as_ref(), |results, merge_time| {
+            sched.workers = stats.into_iter().map(|m| m.into_inner()).collect();
+            let remote_done: u64 = sched.workers.iter().map(|w| w.completed).sum();
+            // Scenarios that could never have shipped: the driver-local
+            // share that is not fallback work.
+            sched.local = results.iter().filter(|r| !can_ship(&r.spec)).count() as u64;
+            // Quarantined scenarios were terminated by a remote driver, not
+            // run by the in-process fallback — keep them out of its tally.
+            sched.fallback =
+                (n as u64).saturating_sub(remote_done + sched.local + sched.total_quarantined());
+            sched.wall = started.elapsed();
+            sched.samples = results
+                .iter()
+                .filter_map(|r| r.outcome.as_ref().ok())
+                .map(|o| o.samples_measured() as u64)
+                .sum();
+            sched.phases.merge = merge_time;
+            sched.phases.steal = sched.workers.iter().map(|w| w.steal_busy).sum();
+            sched.phases.retry = sched.workers.iter().map(|w| w.retry_busy).sum();
+            Some(sched.to_value())
+        });
 
         let report =
             CampaignReport { results, portal: Arc::clone(&self.portal), threads: pool.max(1) };
@@ -657,39 +606,10 @@ impl CampaignScheduler {
     }
 }
 
-/// Scenarios that could never have shipped (the driver-local share that is
-/// not fallback work).
-fn local_unshippable_count(results: &[ScenarioResult]) -> u64 {
-    results
-        .iter()
-        .filter(|r| !(r.spec.mode == RunMode::Single && r.spec.backend == BackendSpec::Sim))
-        .count() as u64
-}
-
-/// The terminal per-scenario event for one execution attempt.
-fn finish_event(
-    index: usize,
-    spec: &ScenarioSpec,
-    attempt: u32,
-    worker: &str,
-    outcome: &Result<ScenarioOutcome, AppError>,
-) -> CampaignEvent {
-    match outcome {
-        Ok(o) => CampaignEvent::ScenarioFinished {
-            index,
-            label: spec.label.clone(),
-            attempt,
-            worker: worker.to_string(),
-            summary: ScenarioSummary::of(o),
-        },
-        Err(e) => CampaignEvent::ScenarioFailed {
-            index,
-            label: spec.label.clone(),
-            attempt,
-            worker: worker.to_string(),
-            error: e.to_string(),
-        },
-    }
+/// Whether a scenario can ship over `/v1`: single-loop on the sim backend,
+/// so the worker instantiates the lab from the config.
+fn can_ship(spec: &ScenarioSpec) -> bool {
+    spec.mode == RunMode::Single && spec.backend == BackendSpec::Sim
 }
 
 /// One remote worker's driver loop: claim → drive remotely → merge or
@@ -702,7 +622,7 @@ fn drive_worker(
     queue: &ShardQueue,
     healthy: &AtomicUsize,
     stats: &parking_lot::Mutex<WorkerStats>,
-    tx: &mpsc::Sender<(usize, ScenarioResult)>,
+    tx: &mpsc::Sender<ScenarioResult>,
     retry: RetryPolicy,
     probe_budget: u32,
     failure_budget: u32,
@@ -740,40 +660,26 @@ fn drive_worker(
             continue;
         };
         let index = claim.index();
-        let spec = scenarios[index].clone();
         let attempt = attempts[index].fetch_add(1, Ordering::Relaxed);
-        if let Some(log) = events {
-            let kind = match claim {
-                Claim::Own(_) => "own",
-                Claim::Retry(_) => "retry",
-                Claim::Stolen { .. } => "stolen",
-            };
-            log.append(&CampaignEvent::ScenarioClaimed {
-                index,
-                worker: url.to_string(),
-                claim: kind.to_string(),
-                queue_depth: queue.depth(me),
-            });
-            if let Claim::Stolen { victim, .. } = claim {
-                log.append(&CampaignEvent::WorkerStolenFrom {
-                    victim: pool[victim].clone(),
-                    thief: url.to_string(),
-                    index,
-                });
-            }
-            log.append(&CampaignEvent::ScenarioStarted {
-                index,
-                label: spec.label.clone(),
-                attempt,
-                worker: url.to_string(),
-            });
-        }
-        let ev = events.map(|log| EventScope::new(Arc::clone(log), index, attempt));
-        let started = Instant::now();
-        let (outcome, wire) = drive_one(url, &spec, retry, chaos, index, attempt, ev);
-        let busy = started.elapsed();
-        let stolen = matches!(claim, Claim::Stolen { .. });
-        {
+        let (kind, victim) = match claim {
+            Claim::Own(_) => ("own", None),
+            Claim::Retry(_) => ("retry", None),
+            Claim::Stolen { victim, .. } => ("stolen", Some(pool[victim].as_str())),
+        };
+        let stolen = victim.is_some();
+        let claimed = Claimed {
+            index,
+            attempt,
+            worker: url,
+            claim: kind,
+            queue_depth: queue.depth(me),
+            victim,
+        };
+        let spec = &scenarios[index];
+        let sent = step(events, tx, spec, claimed, |ev| {
+            let started = Instant::now();
+            let (outcome, wire) = drive_one(url, spec, retry, chaos, index, attempt, ev);
+            let busy = started.elapsed();
             let mut s = stats.lock();
             s.busy += busy;
             if stolen {
@@ -784,89 +690,59 @@ fn drive_worker(
             s.wire_reconnects += wire.reconnects;
             s.chaos_injected += wire.injected();
             s.sheds += wire.sheds;
-        }
-        match outcome {
-            Err(e) if e.is_backpressure() => {
-                // Backpressure, not death: the worker answered 429/503 past
-                // the backend's in-request retry budget. It is alive and
-                // merely over capacity, so it stays in the healthy pool
-                // (no eviction, no probing) — the driver waits out the
-                // server's Retry-After and requeues the scenario for a
-                // clean re-drive. Bounded by the same failure budget as
-                // transport deaths so a permanently-shedding worker cannot
-                // livelock the campaign.
-                let failed_attempts = attempts[index].load(Ordering::Relaxed);
-                if failure_budget > 0 && failed_attempts >= failure_budget {
+            let e = match outcome {
+                Err(e) if e.is_backpressure() || e.is_transport() => e,
+                outcome => {
+                    s.completed += 1;
+                    if stolen {
+                        s.stolen += 1;
+                    }
+                    drop(s);
                     queue.complete_one();
-                    {
-                        let mut s = stats.lock();
-                        s.retries += 1;
-                        s.retry_busy += busy;
-                        s.quarantined += 1;
-                    }
-                    let outcome: Result<ScenarioOutcome, AppError> = Err(AppError::Backend(
-                        format!("quarantined after {failed_attempts} throttled attempts (last: {e})"),
-                    ));
-                    if let Some(log) = events {
-                        log.append(&finish_event(index, &spec, attempt, url, &outcome));
-                    }
-                    if tx.send((index, ScenarioResult { spec, index, outcome })).is_err() {
-                        break;
-                    }
-                    continue;
+                    return Some(outcome.map(|o| ScenarioOutcome::Single(Box::new(o))));
                 }
-                queue.requeue(index);
-                {
-                    let mut s = stats.lock();
-                    s.retries += 1;
-                    s.throttled += 1;
-                    s.retry_busy += busy;
-                }
-                std::thread::sleep(retry.backpressure_delay(e.retry_after(), 1));
+            };
+            // The attempt bounced. Backpressure means the worker answered
+            // 429/503 past the backend's in-request retry budget: it is
+            // alive and merely over capacity, so it stays in the healthy
+            // pool (no eviction, no probing) and the driver waits out the
+            // server's Retry-After. A transport failure means the worker
+            // died, not the scenario.
+            let throttled = e.is_backpressure();
+            s.retries += 1;
+            s.retry_busy += busy;
+            // `attempts` counts starts, so the load already includes this
+            // just-failed attempt.
+            let failed_attempts = attempts[index].load(Ordering::Relaxed);
+            if failure_budget > 0 && failed_attempts >= failure_budget {
+                // Quarantine: this scenario has now bounced with every
+                // attempt in its budget — a poison pill, or a worker that
+                // sheds forever. Requeueing it again would let it hunt the
+                // rest of the pool (and then livelock the fallback), so
+                // finish it as a *deterministic* failure instead. The worker
+                // is not evicted here: its driver stays in rotation and the
+                // very next claim decides its health on fresh evidence.
+                s.quarantined += 1;
+                drop(s);
+                queue.complete_one();
+                let what = if throttled { "throttled" } else { "failed" };
+                return Some(Err(AppError::Backend(format!(
+                    "quarantined after {failed_attempts} {what} attempts (last: {e})"
+                ))));
             }
-            Err(e) if e.is_transport() => {
-                // `attempts` counts starts, so the load already includes
-                // this just-failed attempt.
-                let failed_attempts = attempts[index].load(Ordering::Relaxed);
-                if failure_budget > 0 && failed_attempts >= failure_budget {
-                    // Quarantine: this scenario has now taken a worker down
-                    // with every attempt in its budget — a poison pill.
-                    // Requeueing it again would let it hunt the rest of the
-                    // pool (and then livelock the fallback), so finish it
-                    // as a *deterministic* failure instead. The worker is
-                    // not evicted here: its driver stays in rotation and
-                    // the very next claim decides its health on fresh
-                    // evidence.
-                    queue.complete_one();
-                    {
-                        let mut s = stats.lock();
-                        s.retries += 1;
-                        s.retry_busy += busy;
-                        s.quarantined += 1;
-                    }
-                    let outcome: Result<ScenarioOutcome, AppError> = Err(AppError::Backend(
-                        format!("quarantined after {failed_attempts} failed attempts (last: {e})"),
-                    ));
-                    if let Some(log) = events {
-                        log.append(&finish_event(index, &spec, attempt, url, &outcome));
-                    }
-                    if tx.send((index, ScenarioResult { spec, index, outcome })).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                // Worker death, not scenario failure: the attempt's session
-                // (and its partial records) died with the worker; requeue
-                // for a clean re-drive elsewhere and start probing.
-                queue.requeue(index);
+            // Requeue for a clean re-drive: the attempt's session (and its
+            // partial records) died with it.
+            queue.requeue(index);
+            if throttled {
+                s.throttled += 1;
+                drop(s);
+                std::thread::sleep(retry.backpressure_delay(e.retry_after(), 1));
+            } else {
+                // Worker death: evict it and start probing.
+                s.evictions += 1;
+                drop(s);
                 is_healthy = false;
                 healthy.fetch_sub(1, Ordering::AcqRel);
-                {
-                    let mut s = stats.lock();
-                    s.retries += 1;
-                    s.evictions += 1;
-                    s.retry_busy += busy;
-                }
                 if let Some(log) = events {
                     log.append(&CampaignEvent::WorkerEvicted {
                         worker: url.to_string(),
@@ -874,23 +750,10 @@ fn drive_worker(
                     });
                 }
             }
-            outcome => {
-                {
-                    let mut s = stats.lock();
-                    s.completed += 1;
-                    if stolen {
-                        s.stolen += 1;
-                    }
-                }
-                queue.complete_one();
-                let outcome = outcome.map(|o| ScenarioOutcome::Single(Box::new(o)));
-                if let Some(log) = events {
-                    log.append(&finish_event(index, &spec, attempt, url, &outcome));
-                }
-                if tx.send((index, ScenarioResult { spec, index, outcome })).is_err() {
-                    break;
-                }
-            }
+            None
+        });
+        if !sent {
+            break;
         }
     }
     if is_healthy {

@@ -14,6 +14,7 @@
 //! sdl-lab stress [--samples N] [--batch B] [--seed S] [--seeds K]
 //!                [--solvers LIST] [--objectives LIST] [--kinds LIST]
 //!                [--threads T] [--workers url1,url2,...] [--shard N]
+//!                [--chaos SPEC] [--failure-budget N]
 //!                [--event-log FILE] [--export-portal FILE] [--fingerprint]
 //! sdl-lab portal --import FILE [--experiment ID] [--run N]
 //! sdl-lab serve [--import FILE | --campaign FILE] [--addr HOST:PORT]
@@ -30,7 +31,7 @@ use sdl_lab::color::{Objective, Rgb8};
 use sdl_lab::core::{
     batch_sweep, AppConfig, BackendSpec, CampaignConfig, CampaignReport, CampaignRunner,
     CampaignScheduler, ChaosPolicy, ColorPickerApp, EventLog, EventRecord, Experiment, Leaderboard,
-    ProgressModel, StressKind, StressSuite,
+    ProgressModel, ScenarioSpec, StressKind, StressSuite,
 };
 use sdl_lab::datapub::AcdcPortal;
 use sdl_lab::solvers::SolverKind;
@@ -119,12 +120,14 @@ campaign options:
   --config FILE       scenario-matrix YAML (solvers/seeds/batches/targets/
                       mix_models/fidelities/fault_rates/n_ot2 axes over a
                       base config)
-  --threads T         worker threads (overrides the config's 'threads')
+  --threads T         worker threads (overrides the config's 'threads'; not
+                      with a worker pool)
   --workers LIST      comma-separated worker addresses (host:port); fans the
                       campaign across remote 'sdl-lab serve' workers with
                       work stealing (overrides the config's 'workers:')
-  --shard N           scheduler shard size, scenarios per deal unit
-                      (overrides the config's 'shard:'; default automatic)
+  --shard N           (worker pools only) scheduler shard size, scenarios per
+                      deal unit (overrides the config's 'shard:'; default
+                      automatic)
   --export-portal F   write every streamed scenario record as JSON lines
   --fingerprint       print the campaign's determinism fingerprint
   --event-log FILE    append every campaign event (claims, batches, samples,
@@ -152,9 +155,11 @@ stress options (plus --samples/--batch/--seed/--config from 'run'):
   --kinds LIST        comma-separated stress conditions (baseline|wb-drift|
                       gain-drift|multi-target|moving-target; default all)
   --seeds K           replications: master seeds seed..seed+K-1 (default 2)
-  --threads T         worker threads (default: one per core)
+  --threads T         worker threads (default: one per core; not with --workers)
   --workers LIST      fan the suite across remote 'sdl-lab serve' workers
   --shard N           scheduler shard size (worker pools; default automatic)
+  --chaos SPEC, --failure-budget N
+                      as for 'campaign' (worker pools only)
   --event-log FILE    append campaign events to FILE (finish a crashed suite
                       with 'sdl-lab campaign --resume FILE')
   --export-portal F   write scenario records + the leaderboard as JSON lines
@@ -251,6 +256,11 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 fn flag_present(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
+}
+
+/// Parse `name`'s value, if the flag is given.
+fn flag_parse<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag_value(args, name).map(|v| v.parse().map_err(|_| format!("bad {name} '{v}'"))).transpose()
 }
 
 /// Parse a byte count with an optional `k`/`m`/`g` suffix (powers of 1024),
@@ -387,15 +397,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn runner_for(args: &[String]) -> Result<CampaignRunner, String> {
-    let mut runner = CampaignRunner::new();
-    if let Some(v) = flag_value(args, "--threads") {
-        let t: usize = v.parse().map_err(|_| format!("bad --threads '{v}'"))?;
-        runner = runner.threads(t);
-    }
-    Ok(runner)
-}
-
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let mut base = build_config(args)?;
     base.publish_images = false;
@@ -408,7 +409,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         None => vec![1, 2, 4, 8, 16, 32, 64],
     };
     eprintln!("running {} experiments of {} samples...", batches.len(), base.sample_budget);
-    let report = runner_for(args)?.run(batch_sweep(&base, &batches));
+    let mut runner = CampaignRunner::new();
+    if let Some(t) = flag_parse(args, "--threads")? {
+        runner = runner.threads(t);
+    }
+    let report = runner.run(batch_sweep(&base, &batches));
     println!("{:<6} {:>12} {:>10} {:>8}", "batch", "duration", "best", "plates");
     for result in &report.results {
         let out = result.outcome.as_ref().map_err(|e| format!("{}: {e}", result.label()))?;
@@ -425,15 +430,18 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
     // Resume mode: everything — the scenario matrix included — is
-    // recovered from the event log, so --config is not accepted.
+    // recovered from the event log, and the continuation appends to it.
     if let Some(log_path) = flag_value(args, "--resume") {
-        if flag_value(args, "--config").is_some() || flag_value(args, "--workers").is_some() {
-            return Err(
-                "--resume recovers the scenario matrix from the log; drop --config/--workers"
-                    .into(),
-            );
+        if let Some(flag) =
+            ["--config", "--workers", "--event-log"].into_iter().find(|f| flag_present(args, f))
+        {
+            return Err(format!(
+                "--resume recovers the scenario matrix from the log and appends to it; drop {flag}"
+            ));
         }
-        let runner = runner_for(args)?.progress(true);
+        let Executor::Runner(runner) = Executor::from_args(args, "campaign", None)? else {
+            unreachable!("no worker pool without --workers")
+        };
         eprintln!("resuming campaign from {log_path}...");
         let (report, stats) = runner.resume(log_path).map_err(|e| e.to_string())?;
         if let Some(torn) = &stats.recovery.torn {
@@ -455,90 +463,114 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     if scenarios.is_empty() {
         return Err("campaign expands to zero scenarios".into());
     }
-    let event_log = match flag_value(args, "--event-log") {
-        Some(p) => {
-            let log = EventLog::create(p).map_err(|e| e.to_string())?;
-            eprintln!("appending campaign events to {p}");
-            Some(std::sync::Arc::new(log))
-        }
-        None => None,
-    };
+    let executor = Executor::from_args(args, &config.name, Some(&config))?;
+    eprintln!("campaign '{}': {} scenarios {}...", config.name, scenarios.len(), executor.lanes());
+    let report = executor.run(scenarios);
+    println!("# campaign '{}'", config.name);
+    finish_campaign(args, &report)
+}
 
-    // A worker pool (from --workers or the config's `workers:` key) selects
-    // the distributed scheduler; otherwise the thread-pool runner.
-    let workers: Vec<String> = match flag_value(args, "--workers") {
-        Some(list) => {
-            list.split(',').map(str::trim).filter(|w| !w.is_empty()).map(str::to_string).collect()
+/// The executor `campaign` and `stress` run their scenario list on.
+enum Executor {
+    Runner(CampaignRunner),
+    Scheduler(Box<CampaignScheduler>),
+}
+
+impl Executor {
+    /// Build it from `--workers`, `--threads`, `--shard`, `--chaos`,
+    /// `--failure-budget` and `--event-log`, with `config` filling in what
+    /// the flags leave out. A worker pool selects the distributed
+    /// scheduler, otherwise the thread-pool runner; a flag the chosen
+    /// executor would ignore is refused.
+    fn from_args(
+        args: &[String],
+        name: &str,
+        config: Option<&CampaignConfig>,
+    ) -> Result<Executor, String> {
+        let workers: Vec<String> = match flag_value(args, "--workers") {
+            Some(list) => list
+                .split(',')
+                .map(str::trim)
+                .filter(|w| !w.is_empty())
+                .map(str::to_string)
+                .collect(),
+            None => config.map(|c| c.workers.clone()).unwrap_or_default(),
+        };
+        let pool = !workers.is_empty();
+        let ignored: &[&str] =
+            if pool { &["--threads"] } else { &["--shard", "--chaos", "--failure-budget"] };
+        if let Some(flag) = ignored.iter().find(|f| flag_present(args, f)) {
+            return Err(if pool {
+                format!("{flag} sizes the in-process thread pool; a worker pool does not use it")
+            } else {
+                format!(
+                    "{flag} acts on the driver-worker wire; it needs a worker pool \
+                     (--workers, or a campaign config's 'workers:')"
+                )
+            });
         }
-        None => config.workers.clone(),
-    };
-    let chaos = match flag_value(args, "--chaos") {
-        Some(spec) => Some(ChaosPolicy::parse(spec).map_err(|e| format!("bad --chaos: {e}"))?),
-        None => None,
-    };
-    let failure_budget: Option<u32> = match flag_value(args, "--failure-budget") {
-        Some(v) => Some(v.parse().map_err(|_| format!("bad --failure-budget '{v}'"))?),
-        None => None,
-    };
-    if workers.is_empty() && (chaos.is_some() || failure_budget.is_some()) {
-        return Err(
-            "--chaos/--failure-budget act on the driver-worker wire; they need a worker pool \
-             (--workers or the config's 'workers:')"
-                .into(),
-        );
-    }
-    let report = if workers.is_empty() {
-        let mut runner = runner_for(args)?.progress(true).name(&config.name);
-        if let Some(log) = event_log {
-            runner = runner.with_events(log);
-        }
-        if flag_value(args, "--threads").is_none() {
-            if let Some(t) = config.threads {
+        let threads = flag_parse(args, "--threads")?.or(config.and_then(|c| c.threads));
+        let shard =
+            flag_parse(args, "--shard")?.map(|s: usize| s.max(1)).or(config.and_then(|c| c.shard));
+        let failure_budget = flag_parse(args, "--failure-budget")?;
+        let chaos = match flag_value(args, "--chaos") {
+            Some(spec) => Some(ChaosPolicy::parse(spec).map_err(|e| format!("bad --chaos: {e}"))?),
+            None => None,
+        };
+        let log = match flag_value(args, "--event-log") {
+            Some(p) => {
+                let log = EventLog::create(p).map_err(|e| e.to_string())?;
+                eprintln!("appending campaign events to {p}");
+                Some(std::sync::Arc::new(log))
+            }
+            None => None,
+        };
+        if !pool {
+            let mut runner = CampaignRunner::new().progress(true).name(name);
+            if let Some(t) = threads {
                 runner = runner.threads(t);
             }
+            if let Some(log) = log {
+                runner = runner.with_events(log);
+            }
+            return Ok(Executor::Runner(runner));
         }
-        eprintln!(
-            "campaign '{}': {} scenarios on {} threads...",
-            config.name,
-            scenarios.len(),
-            runner.worker_threads()
-        );
-        runner.run(scenarios)
-    } else {
-        let mut scheduler = CampaignScheduler::new(workers).progress(true).name(&config.name);
-        if let Some(log) = event_log {
+        let mut scheduler = CampaignScheduler::new(workers).progress(true).name(name);
+        if let Some(log) = log {
             scheduler = scheduler.with_events(log);
         }
-        if let Some(policy) = chaos {
-            scheduler = scheduler.chaos(policy);
+        if let Some(s) = shard {
+            scheduler = scheduler.shard_size(s);
         }
         if let Some(budget) = failure_budget {
             scheduler = scheduler.failure_budget(budget);
         }
-        let shard = match flag_value(args, "--shard") {
-            Some(v) => {
-                let s: usize = v.parse().map_err(|_| format!("bad --shard '{v}'"))?;
-                Some(s.max(1))
+        if let Some(policy) = chaos {
+            scheduler = scheduler.chaos(policy);
+        }
+        Ok(Executor::Scheduler(Box::new(scheduler)))
+    }
+
+    /// Where the scenarios run, for the command's banner.
+    fn lanes(&self) -> String {
+        match self {
+            Executor::Runner(r) => format!("on {} threads", r.worker_threads()),
+            Executor::Scheduler(s) => format!("across {} workers", s.pool().len()),
+        }
+    }
+
+    fn run(self, scenarios: Vec<ScenarioSpec>) -> CampaignReport {
+        match self {
+            Executor::Runner(runner) => runner.run(scenarios),
+            Executor::Scheduler(scheduler) => {
+                let (report, sched) = scheduler.run(scenarios);
+                for line in sched.summary_lines() {
+                    eprintln!("{line}");
+                }
+                report
             }
-            None => config.shard,
-        };
-        if let Some(s) = shard {
-            scheduler = scheduler.shard_size(s);
         }
-        eprintln!(
-            "campaign '{}': {} scenarios across {} workers...",
-            config.name,
-            scenarios.len(),
-            scheduler.pool().len()
-        );
-        let (report, sched) = scheduler.run(scenarios);
-        for line in sched.summary_lines() {
-            eprintln!("{line}");
-        }
-        report
-    };
-    println!("# campaign '{}'", config.name);
-    finish_campaign(args, &report)
+    }
 }
 
 /// `sdl-lab stress` — expand the built-in stress suite (objectives ×
@@ -597,57 +629,17 @@ fn cmd_stress(args: &[String]) -> Result<(), String> {
         return Err("stress suite expands to zero scenarios".into());
     }
     let scenarios = suite.scenarios();
-
-    let event_log = match flag_value(args, "--event-log") {
-        Some(p) => {
-            let log = EventLog::create(p).map_err(|e| e.to_string())?;
-            eprintln!("appending campaign events to {p}");
-            Some(std::sync::Arc::new(log))
-        }
-        None => None,
-    };
-    let workers: Vec<String> = match flag_value(args, "--workers") {
-        Some(list) => {
-            list.split(',').map(str::trim).filter(|w| !w.is_empty()).map(str::to_string).collect()
-        }
-        None => Vec::new(),
-    };
-    let report = if workers.is_empty() {
-        let mut runner = runner_for(args)?.progress(true).name("stress");
-        if let Some(log) = event_log {
-            runner = runner.with_events(log);
-        }
-        eprintln!(
-            "stress suite: {} scenarios ({} objectives x {} kinds x {} solvers x {} seeds) \
-             on {} threads...",
-            scenarios.len(),
-            suite.objectives.len(),
-            suite.kinds.len(),
-            suite.solvers.len(),
-            suite.seeds.len(),
-            runner.worker_threads()
-        );
-        runner.run(scenarios)
-    } else {
-        let mut scheduler = CampaignScheduler::new(workers).progress(true).name("stress");
-        if let Some(log) = event_log {
-            scheduler = scheduler.with_events(log);
-        }
-        if let Some(v) = flag_value(args, "--shard") {
-            let s: usize = v.parse().map_err(|_| format!("bad --shard '{v}'"))?;
-            scheduler = scheduler.shard_size(s.max(1));
-        }
-        eprintln!(
-            "stress suite: {} scenarios across {} workers...",
-            scenarios.len(),
-            scheduler.pool().len()
-        );
-        let (report, sched) = scheduler.run(scenarios);
-        for line in sched.summary_lines() {
-            eprintln!("{line}");
-        }
-        report
-    };
+    let executor = Executor::from_args(args, "stress", None)?;
+    eprintln!(
+        "stress suite: {} scenarios ({} objectives x {} kinds x {} solvers x {} seeds) {}...",
+        scenarios.len(),
+        suite.objectives.len(),
+        suite.kinds.len(),
+        suite.solvers.len(),
+        suite.seeds.len(),
+        executor.lanes()
+    );
+    let report = executor.run(scenarios);
 
     // The leaderboard goes into the portal before the export below, so
     // `--export-portal` files carry it alongside the scenario records.

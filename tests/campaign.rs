@@ -5,11 +5,13 @@ use proptest::prelude::*;
 use sdl_lab::color::{MixKind, Objective, Rgb8};
 use sdl_lab::conf::ValueExt;
 use sdl_lab::core::{
-    AppConfig, BackendSpec, CampaignConfig, CampaignRunner, RunMode, ScenarioSpec,
+    AppConfig, BackendSpec, CampaignConfig, CampaignRunner, EventLog, RunMode, ScenarioSpec,
 };
+use sdl_lab::datapub::AcdcPortal;
 use sdl_lab::desim::{FaultPlan, FaultRates};
 use sdl_lab::solvers::SolverKind;
 use sdl_lab::vision::{DriftSpec, Fidelity};
+use std::sync::Arc;
 
 /// A 16-scenario mixed campaign: four solvers x seeds, two batch sizes, a
 /// faulty scenario and two multi-OT2 scenarios.
@@ -98,6 +100,22 @@ fn campaign_streams_ordered_records_into_the_portal() {
     assert_eq!(campaign.len(), 1);
     assert_eq!(campaign[0].opt_i64("scenarios"), Some(16));
     assert_eq!(campaign[0].opt_i64("failed"), Some(0));
+
+    // Resumed from a torn log, the campaign holds the same portal records,
+    // in the same order, as the uninterrupted run.
+    let path =
+        std::env::temp_dir().join(format!("sdl-campaign-portal-{}.jsonl", std::process::id()));
+    let log = Arc::new(EventLog::create(&path).unwrap());
+    CampaignRunner::new().threads(4).with_events(log).run(mixed_campaign());
+    let raw = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &raw[..raw.len() * 3 / 5]).unwrap();
+    let (resumed, stats) = CampaignRunner::new().threads(4).resume(&path).unwrap();
+    assert!(stats.replayed > 0 && stats.redriven > 0, "{stats:?}");
+    let render = |portal: &AcdcPortal| -> Vec<String> {
+        portal.search(|_| true).iter().map(sdl_lab::conf::to_json).collect()
+    };
+    assert_eq!(render(&report.portal), render(&resumed.portal));
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]

@@ -109,3 +109,30 @@ fn serve_answers_http_over_a_saved_export() {
     drop(guard);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn campaign_flags_the_executor_would_ignore_are_refused() {
+    let bin = env!("CARGO_BIN_EXE_sdl-lab");
+    let dir = std::env::temp_dir().join(format!("sdl-flag-refusal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = dir.join("c.yaml");
+    std::fs::write(&config, "samples: 4\nbatch: 2\nsolvers: [random]\n").unwrap();
+    let c = config.to_str().unwrap();
+    // (arguments, the flag the error must name)
+    let cases: &[(&[&str], &str)] = &[
+        (&["campaign", "--config", c, "--shard", "3"], "--shard"),
+        (&["campaign", "--config", c, "--chaos", "seed=7,connect=0.1"], "--chaos"),
+        (&["campaign", "--config", c, "--failure-budget", "2"], "--failure-budget"),
+        (&["campaign", "--config", c, "--workers", "127.0.0.1:9", "--threads", "2"], "--threads"),
+        (&["campaign", "--resume", "missing.events", "--event-log", "x.events"], "--event-log"),
+        (&["stress", "--samples", "2", "--shard", "2"], "--shard"),
+        (&["stress", "--samples", "2", "--workers", "127.0.0.1:9", "--threads", "2"], "--threads"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(bin).args(*args).output().expect("run sdl-lab");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} exited 0");
+        assert!(stderr.contains(flag), "{args:?}: stderr does not name {flag}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
