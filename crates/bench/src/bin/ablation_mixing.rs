@@ -37,7 +37,7 @@ fn main() {
             .results
             .iter()
             .filter(|r| r.label().starts_with(model.name()))
-            .map(|r| r.expect_single())
+            .map(|r| r.expect_outcome())
             .collect();
         let finals: Vec<f64> = outs.iter().map(|o| o.best_score).collect();
         let half: Vec<f64> =

@@ -41,7 +41,7 @@ fn main() {
         report
             .by_label(label)
             .unwrap_or_else(|| panic!("missing scenario {label}"))
-            .expect_single()
+            .expect_outcome()
             .best_score
     };
     let mut rows = Vec::new();

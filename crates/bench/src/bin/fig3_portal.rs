@@ -13,7 +13,7 @@ fn main() {
         AppConfig { sample_budget: 180, batch: 15, publish_images: true, ..AppConfig::default() };
     eprintln!("running 12 runs x 15 samples...");
     let report = CampaignRunner::new().run(vec![ScenarioSpec::new("fig3", config)]);
-    let out = report.results[0].expect_single();
+    let out = report.results[0].expect_outcome();
 
     println!("# Figure 3 (left): Globus Search portal summary view");
     println!("{}", out.portal.summary_view(&out.experiment_id));

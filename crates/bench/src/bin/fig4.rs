@@ -22,7 +22,7 @@ fn main() {
     let mut endpoint_rows = Vec::new();
     for (result, glyph) in report.results.iter().zip(glyphs) {
         let label = result.label();
-        let out = result.expect_single();
+        let out = result.expect_outcome();
         let points: Vec<(f64, f64)> =
             out.trajectory.iter().map(|p| (p.elapsed_min, p.best)).collect();
         for p in &out.trajectory {

@@ -26,12 +26,12 @@ fn main() {
 
     let mut rows = Vec::new();
     for result in &report.results {
-        let out = result.expect_outcome().as_multi();
+        let out = result.expect_outcome();
         rows.push(vec![
-            out.n_ot2.to_string(),
+            out.per_handler_samples.len().to_string(),
             out.duration.to_string(),
-            out.time_per_color.to_string(),
-            out.robotic_commands.to_string(),
+            out.metrics.time_per_color.to_string(),
+            out.counters.robotic_completed.to_string(),
             format!("{:.2}", out.best_score),
             format!("{:?}", out.per_handler_samples),
             out.plates_used.to_string(),

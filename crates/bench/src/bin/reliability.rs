@@ -38,7 +38,7 @@ fn main() {
                 .results
                 .iter()
                 .filter(|r| r.label().starts_with(&format!("{rate}|")))
-                .map(|r| f(r.expect_single()))
+                .map(|r| f(r.expect_outcome()))
                 .collect();
             mean(&v)
         };

@@ -18,7 +18,7 @@ fn main() {
     };
     eprintln!("running B=1 N={samples}...");
     let report = CampaignRunner::new().run(vec![ScenarioSpec::new("table1/B=1", config)]);
-    let out = report.results[0].expect_single();
+    let out = report.results[0].expect_outcome();
     let m = &out.metrics;
 
     let hm = |d: SimDuration| d.to_string();

@@ -165,6 +165,9 @@ pub struct ExperimentOutcome {
     /// Times the solver's surrogate fit degenerated and it silently fell
     /// back to random proposals (0 for solvers without a surrogate).
     pub solver_fallbacks: u64,
+    /// Samples each liquid handler measured, in handler order (multi-OT2
+    /// runs; empty for a single-loop run).
+    pub per_handler_samples: Vec<u32>,
     /// The data portal holding every published record.
     pub portal: Arc<AcdcPortal>,
     /// The image blob store.

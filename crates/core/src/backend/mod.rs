@@ -28,7 +28,7 @@ use sdl_color::Rgb8;
 use sdl_conf::Value;
 use sdl_desim::{SimDuration, SimTime};
 use sdl_instruments::WellIndex;
-use sdl_vision::DetectorScratch;
+use sdl_vision::{Detector, DetectorParams, DetectorScratch, ImageRgb8};
 use sdl_wei::Counters;
 use std::fmt;
 
@@ -154,6 +154,40 @@ pub trait LabBackend: Send {
     /// workers can reuse one arena across scenarios. Backends without a
     /// detection pipeline ignore it.
     fn swap_scratch(&mut self, _scratch: &mut DetectorScratch) {}
+}
+
+/// The one image → measurement path of every simulated lab: the §2.4
+/// detector as the scenario configures it, over a reusable scratch arena.
+pub(crate) struct PlateReader {
+    detector: Detector,
+    pub(crate) scratch: DetectorScratch,
+}
+
+impl PlateReader {
+    pub(crate) fn new(config: &AppConfig) -> PlateReader {
+        let params = DetectorParams { flat_field: config.flat_field, ..DetectorParams::default() };
+        PlateReader { detector: Detector::new(params), scratch: DetectorScratch::default() }
+    }
+
+    /// Detect the plate in `image` and read back `wells`, in order. A well
+    /// the detector did not find is an error, never a default color.
+    pub(crate) fn read(
+        &mut self,
+        image: &ImageRgb8,
+        wells: &[WellIndex],
+    ) -> Result<Vec<WellMeasurement>, AppError> {
+        let reading = self.detector.detect_with(image, &mut self.scratch)?;
+        wells
+            .iter()
+            .map(|&well| {
+                let color = reading
+                    .well(well.row, well.col)
+                    .map(|w| w.color)
+                    .ok_or_else(|| AppError::Setup(format!("no reading for well {well}")))?;
+                Ok(WellMeasurement { well, color })
+            })
+            .collect()
+    }
 }
 
 /// Which executor a scenario runs on — the campaign engine's `backend:`

@@ -8,7 +8,7 @@
 //! the golden-fingerprint equivalence suite.
 
 use crate::app::{AppError, WF_MIXCOLOR, WF_NEWPLATE, WF_REPLENISH, WF_TRASHPLATE};
-use crate::backend::{BackendCaps, BackendClose, Batch, BatchResult, LabBackend, WellMeasurement};
+use crate::backend::{BackendCaps, BackendClose, Batch, BatchResult, LabBackend, PlateReader};
 use crate::config::AppConfig;
 use crate::metrics::SdlMetrics;
 use crate::protocol::build_protocol;
@@ -16,7 +16,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use sdl_desim::{RngHub, SimDuration, SimTime};
 use sdl_instruments::{ActionData, Microplate, ModuleKind, WellIndex};
-use sdl_vision::{Detector, DetectorScratch};
+use sdl_vision::DetectorScratch;
 use sdl_wei::{Clock, Engine, Payload, SeqClock, Workcell, WorkcellConfig, Workflow};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,8 +34,7 @@ pub struct SimBackend {
     engine: Engine,
     clock: SeqClock,
     compute_rng: StdRng,
-    detector: Detector,
-    scratch: DetectorScratch,
+    reader: PlateReader,
     workflows: AppWorkflows,
     vars: BTreeMap<String, String>,
     nest_slot: String,
@@ -121,14 +120,9 @@ impl SimBackend {
             engine.validate(wf)?;
         }
 
-        let detector = Detector::new(sdl_vision::DetectorParams {
-            flat_field: config.flat_field,
-            ..sdl_vision::DetectorParams::default()
-        });
         Ok(SimBackend {
             compute_rng: hub.stream("app.compute"),
-            detector,
-            scratch: DetectorScratch::default(),
+            reader: PlateReader::new(&config),
             workflows,
             vars,
             nest_slot: nest,
@@ -302,16 +296,7 @@ impl LabBackend for SimBackend {
                 _ => None,
             })
             .ok_or_else(|| AppError::Setup("camera step returned no image".into()))?;
-        let reading = self.detector.detect_with(&image, &mut self.scratch)?;
-
-        let mut measurements = Vec::with_capacity(b);
-        for well in wells {
-            let color = reading
-                .well(well.row, well.col)
-                .map(|w| w.color)
-                .ok_or_else(|| AppError::Setup(format!("no reading for well {well}")))?;
-            measurements.push(WellMeasurement { well: *well, color });
-        }
+        let measurements = self.reader.read(&image, wells)?;
         let image_bytes =
             if self.config.publish_images { Some(Bytes::from(image.to_bmp())) } else { None };
 
@@ -349,6 +334,6 @@ impl LabBackend for SimBackend {
     }
 
     fn swap_scratch(&mut self, scratch: &mut DetectorScratch) {
-        std::mem::swap(&mut self.scratch, scratch);
+        std::mem::swap(&mut self.reader.scratch, scratch);
     }
 }

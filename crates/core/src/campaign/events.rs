@@ -32,9 +32,7 @@
 //! loses at most the line it was writing) and fsync in batches, forcing a
 //! sync at scenario and campaign boundaries.
 
-use crate::app::AppError;
-use crate::campaign::report::ScenarioOutcome;
-use crate::multi::MultiOt2Outcome;
+use crate::app::{AppError, ExperimentOutcome};
 use crate::termination::TerminationReason;
 use sdl_conf::{from_json, to_json, Value, ValueExt};
 use sdl_desim::SimDuration;
@@ -68,13 +66,15 @@ pub struct ScenarioSummary {
     pub robotic_commands: u64,
     /// Degenerate-surrogate fallbacks.
     pub solver_fallbacks: u64,
-    /// Single-loop extras (present iff the scenario ran single-loop).
+    /// Close telemetry replay cannot reconstruct (present in every summary
+    /// a finished scenario logs, whatever its run mode).
     pub single: Option<SingleTelemetry>,
-    /// Multi-OT2 extras (present iff the scenario ran multi-OT2).
-    pub multi: Option<MultiTelemetry>,
+    /// Samples measured per liquid handler (present iff the scenario ran
+    /// multi-OT2).
+    pub multi: Option<Vec<u32>>,
 }
 
-/// Single-loop close telemetry that replay cannot reconstruct.
+/// Close telemetry that replay cannot reconstruct.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleTelemetry {
     /// Why the run stopped.
@@ -85,68 +85,23 @@ pub struct SingleTelemetry {
     pub ccwh: u64,
 }
 
-/// Multi-OT2 outcome fields beyond the shared summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiTelemetry {
-    /// Liquid handlers that shared the budget.
-    pub n_ot2: usize,
-    /// All commands issued (completed or not).
-    pub total_commands: u64,
-    /// Samples measured per handler.
-    pub per_handler_samples: Vec<u32>,
-    /// Virtual time per color mixed.
-    pub time_per_color: SimDuration,
-}
-
 impl ScenarioSummary {
     /// Capture the summary of a finished scenario.
-    pub fn of(outcome: &ScenarioOutcome) -> ScenarioSummary {
-        let mut s = ScenarioSummary {
-            best_score: outcome.best_score(),
-            duration: outcome.duration(),
-            samples: outcome.samples_measured(),
-            plates: outcome.plates_used(),
-            robotic_commands: outcome.robotic_commands(),
-            solver_fallbacks: outcome.solver_fallbacks(),
-            single: None,
-            multi: None,
-        };
-        match outcome {
-            ScenarioOutcome::Single(o) => {
-                s.single = Some(SingleTelemetry {
-                    termination: o.termination.clone(),
-                    twh: o.metrics.twh,
-                    ccwh: o.metrics.ccwh,
-                });
-            }
-            ScenarioOutcome::MultiOt2(m) => {
-                s.multi = Some(MultiTelemetry {
-                    n_ot2: m.n_ot2,
-                    total_commands: m.total_commands,
-                    per_handler_samples: m.per_handler_samples.clone(),
-                    time_per_color: m.time_per_color,
-                });
-            }
+    pub fn of(o: &ExperimentOutcome) -> ScenarioSummary {
+        ScenarioSummary {
+            best_score: o.best_score,
+            duration: o.duration,
+            samples: o.samples_measured,
+            plates: o.plates_used,
+            robotic_commands: o.counters.robotic_completed,
+            solver_fallbacks: o.solver_fallbacks,
+            single: Some(SingleTelemetry {
+                termination: o.termination.clone(),
+                twh: o.metrics.twh,
+                ccwh: o.metrics.ccwh,
+            }),
+            multi: (!o.per_handler_samples.is_empty()).then(|| o.per_handler_samples.clone()),
         }
-        s
-    }
-
-    /// Rebuild a multi-OT2 outcome from the summary (multi scenarios have
-    /// no per-sample state beyond it).
-    pub fn to_multi_outcome(&self) -> Option<MultiOt2Outcome> {
-        let m = self.multi.as_ref()?;
-        Some(MultiOt2Outcome {
-            n_ot2: m.n_ot2,
-            samples_measured: self.samples,
-            duration: self.duration,
-            robotic_commands: self.robotic_commands,
-            total_commands: m.total_commands,
-            best_score: self.best_score,
-            per_handler_samples: m.per_handler_samples.clone(),
-            plates_used: self.plates,
-            time_per_color: m.time_per_color,
-            solver_fallbacks: self.solver_fallbacks,
-        })
     }
 
     fn to_value(&self) -> Value {
@@ -164,12 +119,9 @@ impl ScenarioSummary {
             single.set("ccwh", t.ccwh as i64);
             v.set("single", single);
         }
-        if let Some(m) = &self.multi {
+        if let Some(per_handler) = &self.multi {
             let mut multi = Value::map();
-            multi.set("n_ot2", m.n_ot2);
-            multi.set("total_commands", m.total_commands as i64);
-            multi.set("per_handler", m.per_handler_samples.clone());
-            multi.set("time_per_color_us", m.time_per_color.as_micros() as i64);
+            multi.set("per_handler", per_handler.clone());
             v.set("multi", multi);
         }
         v
@@ -188,18 +140,14 @@ impl ScenarioSummary {
         };
         let multi = match v.get("multi") {
             None => None,
-            Some(m) => Some(MultiTelemetry {
-                n_ot2: need_u64(m, "n_ot2")? as usize,
-                total_commands: need_u64(m, "total_commands")?,
-                per_handler_samples: m
-                    .get("per_handler")
+            Some(m) => Some(
+                m.get("per_handler")
                     .and_then(Value::as_seq)
                     .ok_or("multi.per_handler missing")?
                     .iter()
                     .map(|x| x.as_i64().map(|i| i as u32).ok_or("per_handler entry"))
                     .collect::<Result<Vec<u32>, _>>()?,
-                time_per_color: SimDuration::from_micros(need_u64(m, "time_per_color_us")?),
-            }),
+            ),
         };
         Ok(ScenarioSummary {
             best_score: need_f64(v, "best_score")?,
@@ -1094,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_summary_roundtrips_to_outcome() {
+    fn multi_summary_roundtrips() {
         let summary = ScenarioSummary {
             best_score: 9.25,
             duration: SimDuration::from_micros(777),
@@ -1102,20 +1050,15 @@ mod tests {
             plates: 2,
             robotic_commands: 30,
             solver_fallbacks: 1,
-            single: None,
-            multi: Some(MultiTelemetry {
-                n_ot2: 3,
-                total_commands: 40,
-                per_handler_samples: vec![4, 4, 4],
-                time_per_color: SimDuration::from_micros(64),
+            single: Some(SingleTelemetry {
+                termination: TerminationReason::BudgetExhausted,
+                twh: SimDuration::from_micros(700),
+                ccwh: 30,
             }),
+            multi: Some(vec![4, 4, 4]),
         };
         let back = ScenarioSummary::from_value(&summary.to_value()).unwrap();
         assert_eq!(back, summary);
-        let out = back.to_multi_outcome().unwrap();
-        assert_eq!(out.n_ot2, 3);
-        assert_eq!(out.best_score, 9.25);
-        assert_eq!(out.per_handler_samples, vec![4, 4, 4]);
     }
 
     #[test]

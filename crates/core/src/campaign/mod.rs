@@ -31,11 +31,11 @@ mod spec;
 mod stress;
 
 pub use events::{
-    CampaignEvent, EventLog, EventRecord, EventScope, MultiTelemetry, RecoveryReport,
-    ScenarioSummary, SingleTelemetry,
+    CampaignEvent, EventLog, EventRecord, EventScope, RecoveryReport, ScenarioSummary,
+    SingleTelemetry,
 };
 pub use progress::{ProgressModel, WorkerProgress};
-pub use report::{CampaignReport, ScenarioOutcome, ScenarioResult};
+pub use report::{CampaignReport, ScenarioResult};
 pub use resume::ResumeStats;
 pub use runner::CampaignRunner;
 pub use scheduler::{CampaignScheduler, PhaseTimings, SchedulerReport, WorkerStats};

@@ -11,7 +11,7 @@
 //! [`CampaignScheduler::run`]: crate::CampaignScheduler::run
 
 use crate::campaign::events::{CampaignEvent, EventLog};
-use crate::campaign::report::{ScenarioOutcome, ScenarioResult};
+use crate::campaign::report::ScenarioResult;
 use crate::campaign::spec::RunMode;
 use sdl_conf::Value;
 use sdl_datapub::{AcdcPortal, BlobStore};
@@ -69,7 +69,7 @@ impl<'a> Merge<'a> {
                 self.slots.len(),
                 result.spec.label,
                 match &result.outcome {
-                    Ok(o) => format!("best {:.2} in {}", o.best_score(), o.duration()),
+                    Ok(o) => format!("best {:.2} in {}", o.best_score, o.duration),
                     Err(e) => format!("FAILED: {e}"),
                 }
             );
@@ -104,7 +104,7 @@ impl<'a> Merge<'a> {
         let best_score = results
             .iter()
             .filter_map(|r| r.outcome.as_ref().ok())
-            .map(ScenarioOutcome::best_score)
+            .map(|o| o.best_score)
             .fold(None, |a: Option<f64>, s| Some(a.map_or(s, |a| a.min(s))));
         let started = Instant::now();
         let mut v = Value::map();
@@ -140,7 +140,7 @@ fn publish_scenario(
     publish_records: bool,
     result: &ScenarioResult,
 ) {
-    if let Ok(ScenarioOutcome::Single(out)) = &result.outcome {
+    if let Ok(out) = &result.outcome {
         out.store.merge_into(store);
         if publish_records {
             portal.merge_from(&out.portal);
@@ -161,17 +161,15 @@ fn publish_scenario(
     }
     match &result.outcome {
         Ok(o) => {
-            v.set("best_score", o.best_score());
-            v.set("duration_s", o.duration().as_secs_f64());
-            v.set("samples_measured", o.samples_measured() as i64);
-            v.set("plates_used", o.plates_used() as i64);
-            v.set("robotic_commands", o.robotic_commands() as i64);
-            v.set("solver_fallbacks", o.solver_fallbacks() as i64);
-            if let ScenarioOutcome::Single(out) = o {
-                v.set("twh_s", out.metrics.twh.as_secs_f64());
-                v.set("ccwh", out.metrics.ccwh as i64);
-                v.set("termination", out.termination.to_string().as_str());
-            }
+            v.set("best_score", o.best_score);
+            v.set("duration_s", o.duration.as_secs_f64());
+            v.set("samples_measured", o.samples_measured as i64);
+            v.set("plates_used", o.plates_used as i64);
+            v.set("robotic_commands", o.counters.robotic_completed as i64);
+            v.set("solver_fallbacks", o.solver_fallbacks as i64);
+            v.set("twh_s", o.metrics.twh.as_secs_f64());
+            v.set("ccwh", o.metrics.ccwh as i64);
+            v.set("termination", o.termination.to_string().as_str());
         }
         Err(e) => {
             v.set("error", e.to_string().as_str());

@@ -1,96 +1,10 @@
 //! Campaign results: per-scenario outcomes and aggregate views.
 
-use crate::app::{AppError, ExperimentOutcome, TrajectoryPoint};
-use crate::campaign::spec::ScenarioSpec;
-use crate::multi::MultiOt2Outcome;
+use crate::app::{AppError, ExperimentOutcome};
+use crate::campaign::spec::{RunMode, ScenarioSpec};
 use sdl_datapub::AcdcPortal;
-use sdl_desim::SimDuration;
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// What one scenario produced.
-#[derive(Debug)]
-pub enum ScenarioOutcome {
-    /// A single-loop experiment's full outcome.
-    Single(Box<ExperimentOutcome>),
-    /// A multi-OT2 run's outcome.
-    MultiOt2(MultiOt2Outcome),
-}
-
-impl ScenarioOutcome {
-    /// Best score achieved.
-    pub fn best_score(&self) -> f64 {
-        match self {
-            ScenarioOutcome::Single(o) => o.best_score,
-            ScenarioOutcome::MultiOt2(o) => o.best_score,
-        }
-    }
-
-    /// Virtual-clock duration.
-    pub fn duration(&self) -> SimDuration {
-        match self {
-            ScenarioOutcome::Single(o) => o.duration,
-            ScenarioOutcome::MultiOt2(o) => o.duration,
-        }
-    }
-
-    /// Samples measured.
-    pub fn samples_measured(&self) -> u32 {
-        match self {
-            ScenarioOutcome::Single(o) => o.samples_measured,
-            ScenarioOutcome::MultiOt2(o) => o.samples_measured,
-        }
-    }
-
-    /// Plates consumed.
-    pub fn plates_used(&self) -> u32 {
-        match self {
-            ScenarioOutcome::Single(o) => o.plates_used,
-            ScenarioOutcome::MultiOt2(o) => o.plates_used,
-        }
-    }
-
-    /// Robotic commands completed.
-    pub fn robotic_commands(&self) -> u64 {
-        match self {
-            ScenarioOutcome::Single(o) => o.counters.robotic_completed,
-            ScenarioOutcome::MultiOt2(o) => o.robotic_commands,
-        }
-    }
-
-    /// Degenerate-surrogate fallbacks the scenario's solver recorded.
-    pub fn solver_fallbacks(&self) -> u64 {
-        match self {
-            ScenarioOutcome::Single(o) => o.solver_fallbacks,
-            ScenarioOutcome::MultiOt2(o) => o.solver_fallbacks,
-        }
-    }
-
-    /// The ΔE trajectory (empty for multi-OT2 runs, which share one
-    /// unordered history across handlers).
-    pub fn trajectory(&self) -> &[TrajectoryPoint] {
-        match self {
-            ScenarioOutcome::Single(o) => &o.trajectory,
-            ScenarioOutcome::MultiOt2(_) => &[],
-        }
-    }
-
-    /// The single-loop outcome, panicking for multi-OT2 scenarios.
-    pub fn as_single(&self) -> &ExperimentOutcome {
-        match self {
-            ScenarioOutcome::Single(o) => o,
-            ScenarioOutcome::MultiOt2(_) => panic!("scenario ran in multi-OT2 mode"),
-        }
-    }
-
-    /// The multi-OT2 outcome, panicking for single-loop scenarios.
-    pub fn as_multi(&self) -> &MultiOt2Outcome {
-        match self {
-            ScenarioOutcome::MultiOt2(o) => o,
-            ScenarioOutcome::Single(_) => panic!("scenario ran in single-loop mode"),
-        }
-    }
-}
 
 /// One scenario's spec plus what happened when it ran.
 #[derive(Debug)]
@@ -101,7 +15,7 @@ pub struct ScenarioResult {
     pub index: usize,
     /// The outcome (an `Err` records the failure without sinking the
     /// campaign's other scenarios).
-    pub outcome: Result<ScenarioOutcome, AppError>,
+    pub outcome: Result<ExperimentOutcome, AppError>,
 }
 
 impl ScenarioResult {
@@ -111,16 +25,11 @@ impl ScenarioResult {
     }
 
     /// The outcome, panicking with the label on failure.
-    pub fn expect_outcome(&self) -> &ScenarioOutcome {
+    pub fn expect_outcome(&self) -> &ExperimentOutcome {
         match &self.outcome {
             Ok(o) => o,
             Err(e) => panic!("scenario '{}' failed: {e}", self.spec.label),
         }
-    }
-
-    /// The single-loop outcome, panicking with the label on failure.
-    pub fn expect_single(&self) -> &ExperimentOutcome {
-        self.expect_outcome().as_single()
     }
 }
 
@@ -149,7 +58,7 @@ impl CampaignReport {
 
     /// Iterate over successful outcomes with their labels, panicking on the
     /// first failed scenario.
-    pub fn expect_all(&self) -> impl Iterator<Item = (&str, &ScenarioOutcome)> {
+    pub fn expect_all(&self) -> impl Iterator<Item = (&str, &ExperimentOutcome)> {
         self.results.iter().map(|r| (r.spec.label.as_str(), r.expect_outcome()))
     }
 
@@ -160,7 +69,7 @@ impl CampaignReport {
             .iter()
             .filter(|r| r.spec.label.starts_with(prefix))
             .filter_map(|r| r.outcome.as_ref().ok())
-            .map(ScenarioOutcome::best_score)
+            .map(|o| o.best_score)
             .collect()
     }
 
@@ -175,25 +84,14 @@ impl CampaignReport {
         self.results
             .iter()
             .filter_map(|r| r.outcome.as_ref().ok())
-            .map(ScenarioOutcome::solver_fallbacks)
+            .map(|o| o.solver_fallbacks)
             .sum()
     }
 
     /// Decompose into `(label, outcome)` pairs in input order, adapting the
     /// pre-campaign `run_sweep` return shape.
     pub fn into_label_outcomes(self) -> Vec<(String, Result<ExperimentOutcome, AppError>)> {
-        self.results
-            .into_iter()
-            .map(|r| {
-                let out = r.outcome.map(|o| match o {
-                    ScenarioOutcome::Single(e) => *e,
-                    ScenarioOutcome::MultiOt2(_) => {
-                        panic!("scenario '{}' is multi-OT2; use the report API", r.spec.label)
-                    }
-                });
-                (r.spec.label, out)
-            })
-            .collect()
+        self.results.into_iter().map(|r| (r.spec.label, r.outcome)).collect()
     }
 
     /// Render a fixed-width summary table of every scenario.
@@ -212,10 +110,10 @@ impl CampaignReport {
                         out,
                         "{:<28} {:>12} {:>10.2} {:>8} {:>7}",
                         r.spec.label,
-                        o.duration().to_string(),
-                        o.best_score(),
-                        o.samples_measured(),
-                        o.plates_used()
+                        o.duration.to_string(),
+                        o.best_score,
+                        o.samples_measured,
+                        o.plates_used
                     );
                 }
                 Err(e) => {
@@ -230,6 +128,8 @@ impl CampaignReport {
     /// bit-identical campaign outcomes (scores are rendered via their IEEE
     /// bit patterns, so even sub-ULP drift is caught). Used by the
     /// determinism suite to compare runs at different thread counts.
+    /// Multi-OT2 scenarios print their per-handler split instead of the
+    /// trajectory.
     pub fn fingerprint(&self) -> String {
         let mut out = String::new();
         for r in &self.results {
@@ -239,23 +139,24 @@ impl CampaignReport {
                     let _ = write!(
                         out,
                         "best={:016x} dur={} n={} plates={} cmds={}",
-                        o.best_score().to_bits(),
-                        o.duration().as_micros(),
-                        o.samples_measured(),
-                        o.plates_used(),
-                        o.robotic_commands()
+                        o.best_score.to_bits(),
+                        o.duration.as_micros(),
+                        o.samples_measured,
+                        o.plates_used,
+                        o.counters.robotic_completed
                     );
-                    for p in o.trajectory() {
-                        let _ = write!(
-                            out,
-                            " {}:{:016x}:{:016x}",
-                            p.sample,
-                            p.score.to_bits(),
-                            p.best.to_bits()
-                        );
-                    }
-                    if let ScenarioOutcome::MultiOt2(m) = o {
-                        let _ = write!(out, " per={:?}", m.per_handler_samples);
+                    if let RunMode::MultiOt2(_) = r.spec.mode {
+                        let _ = write!(out, " per={:?}", o.per_handler_samples);
+                    } else {
+                        for p in &o.trajectory {
+                            let _ = write!(
+                                out,
+                                " {}:{:016x}:{:016x}",
+                                p.sample,
+                                p.score.to_bits(),
+                                p.best.to_bits()
+                            );
+                        }
                     }
                 }
                 Err(e) => {

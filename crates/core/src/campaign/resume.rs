@@ -7,12 +7,16 @@
 //!
 //! 1. **Recover** — [`EventLog::recover`] truncates the file to its
 //!    checksum-verified prefix and reopens it for appending.
-//! 2. **Replay** — every scenario with a terminal event is rebuilt
-//!    *through the solver*: the recorded samples feed a [`ReplayBackend`],
-//!    whose bit-exact proposal verification proves the log matches what
-//!    the solver would do again. Close telemetry that replay cannot see
-//!    (virtual duration, plate count, robot command totals) is patched
-//!    from the logged [`ScenarioSummary`].
+//! 2. **Replay** — every scenario with a terminal event is rebuilt from
+//!    its recorded samples. A single-loop scenario is rebuilt *through the
+//!    solver*: the samples feed a [`ReplayBackend`], whose bit-exact
+//!    proposal verification proves the log matches what the solver would
+//!    do again. A multi-OT2 scenario's flows asked ahead of their tells, so
+//!    its samples are told back to a fresh session in logged order. Either
+//!    way the session re-grades every sample and republishes its records;
+//!    close telemetry that replay cannot see (virtual duration, plate
+//!    count, robot command totals, the per-handler split) is patched from
+//!    the logged [`ScenarioSummary`].
 //! 3. **Re-drive** — scenarios without a terminal event run live on the
 //!    runner's thread pool, appending to the same log with a bumped
 //!    attempt number. This is the same pool, per-attempt step, merge and
@@ -24,9 +28,9 @@
 //! bit-identical to the uninterrupted run's.
 
 use crate::app::{AppError, ExperimentOutcome};
-use crate::backend::{LabBackend, ReplayBackend};
+use crate::backend::{Batch, LabBackend, ReplayBackend};
 use crate::campaign::events::{CampaignEvent, EventLog, RecoveryReport, ScenarioSummary};
-use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
+use crate::campaign::report::{CampaignReport, ScenarioResult};
 use crate::campaign::runner::CampaignRunner;
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::experiment::Experiment;
@@ -186,47 +190,42 @@ impl CampaignRunner {
 fn rebuild(
     spec: &ScenarioSpec,
     summary: &ScenarioSummary,
-    samples: Vec<SampleRecord>,
-) -> Result<ScenarioOutcome, AppError> {
-    match spec.mode {
-        RunMode::Single => {
-            replay_single(spec, summary, samples).map(|o| ScenarioOutcome::Single(Box::new(o)))
-        }
-        RunMode::MultiOt2(_) => {
-            summary.to_multi_outcome().map(ScenarioOutcome::MultiOt2).ok_or_else(|| {
-                AppError::Setup(format!(
-                    "scenario '{}' finished as multi-OT2 but its summary has no multi telemetry",
-                    spec.label
-                ))
-            })
-        }
-    }
-}
-
-/// Re-derive a single-loop scenario through the solver against a
-/// [`ReplayBackend`] built from the logged samples. The backend verifies
-/// every proposal bit-exactly against the log; the summary patches the
-/// close telemetry replay cannot reconstruct (virtual duration, plates,
-/// robot command counts, waiting-hours metrics).
-fn replay_single(
-    spec: &ScenarioSpec,
-    summary: &ScenarioSummary,
-    samples: Vec<SampleRecord>,
+    mut samples: Vec<SampleRecord>,
 ) -> Result<ExperimentOutcome, AppError> {
+    samples.sort_by_key(|r| r.sample);
+    // A multi-OT2 scenario's batches in tell order: samples are numbered
+    // as they are told, so each run's samples are contiguous.
+    let retold: Option<Vec<Batch>> = matches!(spec.mode, RunMode::MultiOt2(_)).then(|| {
+        samples
+            .chunk_by(|a, b| a.run == b.run)
+            .map(|run| Batch {
+                run: run[0].run,
+                ratios: run.iter().map(|r| r.ratios.clone()).collect(),
+            })
+            .collect()
+    });
     let recorded = samples.len() as u32;
     let mut session = Experiment::new(spec.config.clone())?;
     let mut backend = ReplayBackend::from_records(samples);
     let caps = backend.open()?;
-    loop {
+    match retold {
         // Stop once every recorded sample is consumed: the logged
         // termination explains why the original stopped here (an
         // out-of-plates abort leaves fewer samples than the budget).
-        if session.samples_measured() >= recorded {
-            break;
+        None => {
+            while session.samples_measured() < recorded {
+                let Some(batch) = session.ask(&caps) else { break };
+                let result = backend.submit_batch(&batch)?;
+                session.tell(&batch, result)?;
+            }
         }
-        let Some(batch) = session.ask(&caps) else { break };
-        let result = backend.submit_batch(&batch)?;
-        session.tell(&batch, result)?;
+        Some(batches) => {
+            session.announce();
+            for batch in batches {
+                let result = backend.submit_batch(&batch)?;
+                session.tell(&batch, result)?;
+            }
+        }
     }
     if let Some(t) = &summary.single {
         session.terminate(t.termination.clone());
@@ -237,6 +236,7 @@ fn replay_single(
     out.plates_used = summary.plates;
     out.counters.robotic_completed = summary.robotic_commands;
     out.solver_fallbacks = summary.solver_fallbacks;
+    out.per_handler_samples = summary.multi.clone().unwrap_or_default();
     if let Some(t) = &summary.single {
         out.termination = t.termination.clone();
         out.metrics.twh = t.twh;
@@ -351,5 +351,50 @@ mod tests {
         assert!(err.to_string().contains("nothing to resume"), "{err}");
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(torn);
+    }
+
+    #[test]
+    fn resuming_around_the_multi_ot2_scenario_is_bit_exact() {
+        use crate::campaign::EventRecord;
+        use sdl_conf::ValueExt as _;
+        let runner = || CampaignRunner::new().threads(2).publish_records(true);
+        let golden = runner().run(specs());
+        let path = tmp("multi");
+        runner().with_events(Arc::new(EventLog::create(&path).unwrap())).run(specs());
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = raw.split_inclusive('\n').collect();
+        let events: Vec<CampaignEvent> =
+            lines.iter().map(|l| EventRecord::from_line(l).unwrap().event).collect();
+        let m2 = specs().iter().position(|s| s.label == "m2").unwrap();
+        let at = |kind: &str| {
+            let of_m2 = |e: &CampaignEvent| match e {
+                CampaignEvent::SamplePublished { index, .. }
+                | CampaignEvent::ScenarioFinished { index, .. } => *index == m2,
+                _ => false,
+            };
+            events.iter().position(|e| e.kind() == kind && of_m2(e)).unwrap()
+        };
+        // The multi scenario's records (its experiment and samples, and the
+        // campaign_scenario summaries under its experiment id), in order.
+        let id = specs()[m2].config.experiment_id();
+        let records = |portal: &sdl_datapub::AcdcPortal| -> Vec<String> {
+            let mine = portal.search(|r| r.opt_str("experiment_id") == Some(id.as_str()));
+            mine.iter().map(sdl_conf::to_json).collect()
+        };
+        assert!(records(&golden.portal).len() > 4, "m2 published no sample records");
+
+        // Torn right after m2's first sample (re-driven), and right after
+        // m2 finished (rebuilt from its logged samples).
+        for (name, cut) in
+            [("inside", at("sample_published") + 1), ("after", at("scenario_finished") + 1)]
+        {
+            let torn = tmp(&format!("multi-{name}"));
+            std::fs::write(&torn, lines[..cut].concat()).unwrap();
+            let (report, stats) = runner().resume(&torn).unwrap();
+            assert_eq!(golden.fingerprint(), report.fingerprint(), "{name}: {stats:?}");
+            assert_eq!(records(&golden.portal), records(&report.portal), "{name}");
+            let _ = std::fs::remove_file(torn);
+        }
+        let _ = std::fs::remove_file(path);
     }
 }

@@ -8,14 +8,14 @@
 //! attempt through one `step`: claim, start, execute, finish. The results
 //! go through one in-order merge and one close (`publish.rs`).
 
-use crate::app::AppError;
+use crate::app::{AppError, ExperimentOutcome};
 use crate::backend::BackendSpec;
 use crate::campaign::events::{CampaignEvent, EventLog, EventScope, ScenarioSummary};
 use crate::campaign::publish::Merge;
-use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
+use crate::campaign::report::{CampaignReport, ScenarioResult};
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::experiment::Experiment;
-use crate::multi::run_multi_ot2;
+use crate::multi::drive_multi_ot2;
 use sdl_datapub::{AcdcPortal, BlobStore};
 use sdl_vision::DetectorScratch;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -224,7 +224,7 @@ pub(crate) fn step(
     tx: &mpsc::Sender<ScenarioResult>,
     spec: &ScenarioSpec,
     c: Claimed<'_>,
-    drive: impl FnOnce(Option<EventScope>) -> Option<Result<ScenarioOutcome, AppError>>,
+    drive: impl FnOnce(Option<EventScope>) -> Option<Result<ExperimentOutcome, AppError>>,
 ) -> bool {
     let (index, attempt, worker) = (c.index, c.attempt, c.worker);
     if let Some(log) = log {
@@ -276,37 +276,35 @@ pub(crate) fn step(
 
 /// Run one scenario to completion (workers call this; also the single-run
 /// fast path): an [`Experiment`] session driven on the scenario's
-/// configured lab backend. `scratch` is the worker's reusable detector
-/// arena, loaned to backends with a detection pipeline. With `events`, the
-/// session appends batch/sample events as it goes (multi-OT2 scenarios log
-/// only their lifecycle; their summary carries the close telemetry).
+/// configured lab backend, or on the multi-OT2 flows. `scratch` is the
+/// worker's reusable detector arena, loaned to backends with a detection
+/// pipeline. With `events`, the session appends batch/sample events as it
+/// goes, whichever lab runs it.
 pub(crate) fn execute(
     spec: &ScenarioSpec,
     scratch: &mut DetectorScratch,
     events: Option<EventScope>,
-) -> Result<ScenarioOutcome, AppError> {
-    match spec.mode {
-        RunMode::Single => {
-            let mut session = Experiment::new(spec.config.clone())?;
-            if let Some(scope) = events {
-                session.attach_events(scope);
-            }
-            let mut backend = spec.backend.build(&spec.config)?;
-            backend.swap_scratch(scratch);
-            let outcome = session.run_on(backend.as_mut());
-            backend.swap_scratch(scratch);
-            outcome.map(|o| ScenarioOutcome::Single(Box::new(o)))
-        }
-        RunMode::MultiOt2(n) => {
-            if spec.backend != BackendSpec::Sim {
-                return Err(AppError::Setup(format!(
-                    "multi-OT2 scenarios only run on the sim backend (got '{}')",
-                    spec.backend
-                )));
-            }
-            run_multi_ot2(&spec.config, n).map(ScenarioOutcome::MultiOt2)
+) -> Result<ExperimentOutcome, AppError> {
+    if let RunMode::MultiOt2(_) = spec.mode {
+        if spec.backend != BackendSpec::Sim {
+            return Err(AppError::Setup(format!(
+                "multi-OT2 scenarios only run on the sim backend (got '{}')",
+                spec.backend
+            )));
         }
     }
+    let mut session = Experiment::new(spec.config.clone())?;
+    if let Some(scope) = events {
+        session.attach_events(scope);
+    }
+    if let RunMode::MultiOt2(n) = spec.mode {
+        return drive_multi_ot2(session, n);
+    }
+    let mut backend = spec.backend.build(&spec.config)?;
+    backend.swap_scratch(scratch);
+    let outcome = session.run_on(backend.as_mut());
+    backend.swap_scratch(scratch);
+    outcome
 }
 
 #[cfg(test)]
@@ -336,7 +334,7 @@ mod tests {
         let labels: Vec<&str> = report.results.iter().map(|r| r.label()).collect();
         assert_eq!(labels, vec!["a", "b", "c"]);
         for r in &report.results {
-            assert_eq!(r.expect_outcome().samples_measured(), 4, "{}", r.label());
+            assert_eq!(r.expect_outcome().samples_measured, 4, "{}", r.label());
         }
     }
 
@@ -397,8 +395,8 @@ mod tests {
         let report =
             CampaignRunner::new().threads(2).run(vec![ScenarioSpec::multi_ot2("m2", base, 2)]);
         let out = report.results[0].expect_outcome();
-        assert_eq!(out.samples_measured(), 6);
-        assert_eq!(out.as_multi().n_ot2, 2);
+        assert_eq!(out.samples_measured, 6);
+        assert_eq!(out.per_handler_samples.len(), 2);
     }
 
     #[test]

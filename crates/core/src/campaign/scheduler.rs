@@ -45,7 +45,7 @@ use crate::backend::{BackendSpec, RemoteBackend, RetryPolicy};
 use crate::campaign::events::{CampaignEvent, EventLog, EventScope};
 use crate::campaign::publish::Merge;
 use crate::campaign::queue::{Claim, ShardQueue};
-use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
+use crate::campaign::report::{CampaignReport, ScenarioResult};
 use crate::campaign::runner::{execute, step, Claimed};
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::chaos::{self, ChaosPolicy};
@@ -592,7 +592,7 @@ impl CampaignScheduler {
             sched.samples = results
                 .iter()
                 .filter_map(|r| r.outcome.as_ref().ok())
-                .map(|o| o.samples_measured() as u64)
+                .map(|o| o.samples_measured as u64)
                 .sum();
             sched.phases.merge = merge_time;
             sched.phases.steal = sched.workers.iter().map(|w| w.steal_busy).sum();
@@ -699,7 +699,7 @@ fn drive_worker(
                     }
                     drop(s);
                     queue.complete_one();
-                    return Some(outcome.map(|o| ScenarioOutcome::Single(Box::new(o))));
+                    return Some(outcome);
                 }
             };
             // The attempt bounced. Backpressure means the worker answered

@@ -264,7 +264,7 @@ impl Leaderboard {
             let Some(kind) = parts.nth(1) else { continue };
             match &result.outcome {
                 Ok(outcome) => {
-                    let norm = outcome.best_score() / config.objective.scale();
+                    let norm = outcome.best_score / config.objective.scale();
                     cells
                         .entry((config.objective.name().to_string(), kind.to_string(), config.seed))
                         .or_default()

@@ -24,6 +24,13 @@
 //!
 //! [`Experiment::run_on`] packages that loop (including out-of-plates
 //! mapping) for any [`LabBackend`].
+//!
+//! An ask is a budget reservation (`Experiment::reserve`) followed by a
+//! proposal (`Experiment::propose`). Labs that keep several batches in
+//! flight — the multi-OT2 flows, one per liquid handler — call the two
+//! halves separately: each flow reserves its share of the budget, stages
+//! a plate, and only then proposes from the history as it stands. Tells
+//! arrive in the order batches finish, and that order fixes the history.
 
 use crate::app::{AppError, ExperimentOutcome, TrajectoryPoint};
 use crate::backend::{BackendCaps, BackendClose, Batch, BatchResult, LabBackend};
@@ -48,6 +55,8 @@ pub struct Experiment {
     history: Vec<Observation>,
     trajectory: Vec<TrajectoryPoint>,
     samples_done: u32,
+    /// Samples reserved by batches that are asked but not yet told.
+    in_flight: u32,
     runs: u32,
     portal: Arc<AcdcPortal>,
     store: Arc<BlobStore>,
@@ -73,6 +82,7 @@ impl Experiment {
             history: Vec::new(),
             trajectory: Vec::new(),
             samples_done: 0,
+            in_flight: 0,
             runs: 0,
             portal,
             store,
@@ -193,8 +203,17 @@ impl Experiment {
     }
 
     /// Propose the next batch, or `None` once a termination criterion is
-    /// met (the reason is then available via [`Experiment::termination`]).
+    /// met (the reason is then available via [`Experiment::termination`]):
+    /// a budget reservation followed by a proposal.
     pub fn ask(&mut self, caps: &BackendCaps) -> Option<Batch> {
+        let size = self.reserve(caps)?;
+        self.propose(size)
+    }
+
+    /// Reserve the next batch's share of the sample budget and return its
+    /// size, or `None` once a termination criterion is met or the whole
+    /// budget is measured or reserved by batches in flight.
+    pub(crate) fn reserve(&mut self, caps: &BackendCaps) -> Option<usize> {
         if self.termination.is_some() {
             return None;
         }
@@ -203,30 +222,45 @@ impl Experiment {
         // Loop check: enough wells in budget? (Figure 2) Saturating:
         // restoring records from a larger-budget run must terminate, not
         // underflow.
-        let remaining = self.config.sample_budget.saturating_sub(self.samples_done);
+        let remaining =
+            self.config.sample_budget.saturating_sub(self.samples_done + self.in_flight);
         if remaining == 0 {
-            self.termination = Some(TerminationReason::BudgetExhausted);
+            // Batches still in flight may yet match the target.
+            if self.in_flight == 0 {
+                self.termination = Some(TerminationReason::BudgetExhausted);
+            }
             return None;
         }
 
         // Batches are never split across plates, so a batch is never larger
         // than the executor's plate.
-        let b = remaining.min(self.config.batch).min(caps.plate_capacity.max(1)) as usize;
+        let b = remaining.min(self.config.batch).min(caps.plate_capacity.max(1));
+        self.in_flight += b;
+        Some(b as usize)
+    }
 
+    /// Propose `size` points for a reservation from the history as it
+    /// stands now. Returns `None`, and releases the reservation, when a
+    /// batch told since the reservation ended the session.
+    pub(crate) fn propose(&mut self, size: usize) -> Option<Batch> {
+        if self.termination.is_some() {
+            self.in_flight = self.in_flight.saturating_sub(size as u32);
+            return None;
+        }
         // Solver proposes (Figure 2: Solver.Run_Iteration).
         let proposed_at = self.events.as_ref().map(|_| std::time::Instant::now());
         // A moving target chases `target_to`: the solver is pointed at the
         // target of the *next* sample to be measured.
         let target = self.config.target_at(self.samples_done);
-        let ratios = self.solver.propose(target, &self.history, b, &mut self.solver_rng);
-        debug_assert_eq!(ratios.len(), b);
+        let ratios = self.solver.propose(target, &self.history, size, &mut self.solver_rng);
+        debug_assert_eq!(ratios.len(), size);
         self.runs += 1;
         if let (Some(scope), Some(t)) = (&self.events, proposed_at) {
             scope.emit(&CampaignEvent::BatchAsked {
                 index: scope.index,
                 attempt: scope.attempt,
                 run: self.runs,
-                size: b,
+                size,
                 propose_us: t.elapsed().as_micros() as u64,
             });
         }
@@ -244,6 +278,8 @@ impl Experiment {
                 batch.ratios.len()
             )));
         }
+        // A retold log's batches were never reserved; they release nothing.
+        self.in_flight = self.in_flight.saturating_sub(batch.len() as u32);
         if let Some(scope) = &self.events {
             scope.emit(&CampaignEvent::BatchTold {
                 index: scope.index,
@@ -356,6 +392,7 @@ impl Experiment {
             counters: close.counters,
             plates_used: close.plates_used,
             solver_fallbacks: self.solver.degenerate_fallbacks(),
+            per_handler_samples: Vec::new(),
             portal: Arc::clone(&self.portal),
             store: Arc::clone(&self.store),
             flow_stats,

@@ -47,14 +47,14 @@ pub use backend::{
 pub use campaign::{
     batch_sweep, run_one, run_sweep, solver_sweep, CampaignConfig, CampaignEvent, CampaignReport,
     CampaignRunner, CampaignScheduler, EventLog, EventRecord, EventScope, Leaderboard,
-    LeaderboardRow, MultiTelemetry, PhaseTimings, ProgressModel, RecoveryReport, ResumeStats,
-    RunMode, ScenarioOutcome, ScenarioResult, ScenarioSpec, ScenarioSummary, SchedulerReport,
-    SingleTelemetry, StressKind, StressSuite, SweepItem, WorkerProgress, WorkerStats,
+    LeaderboardRow, PhaseTimings, ProgressModel, RecoveryReport, ResumeStats, RunMode,
+    ScenarioResult, ScenarioSpec, ScenarioSummary, SchedulerReport, SingleTelemetry, StressKind,
+    StressSuite, SweepItem, WorkerProgress, WorkerStats,
 };
 pub use chaos::{ChaosClock, ChaosPolicy, ChaosStream, WorkerFault};
 pub use config::{AppConfig, ConfigError};
 pub use experiment::Experiment;
 pub use metrics::SdlMetrics;
-pub use multi::{multi_ot2_workcell_yaml, run_multi_ot2, MultiOt2Outcome};
+pub use multi::{multi_ot2_workcell_yaml, run_multi_ot2};
 pub use protocol::{build_protocol, ProtocolError};
 pub use termination::TerminationReason;

@@ -4,50 +4,29 @@
 //! an increase in CCWH, but potentially a lower TWH for the same
 //! experimental results."
 //!
-//! Each OT-2 gets its own closed-loop *flow process* on the `sdl-desim`
-//! executive: flows own a plate on their handler's deck and contend for the
-//! shared `pf400`, `sciclops` and camera nest exactly as physical plates
-//! would on the rail. The solver and sample budget are shared, so N samples
-//! are split dynamically between handlers.
+//! Each OT-2 gets its own *flow process* on the `sdl-desim` executive:
+//! flows own a plate on their handler's deck and contend for the shared
+//! `pf400`, `sciclops` and camera nest exactly as physical plates would on
+//! the rail. This module is the lab side only. Every decision goes through
+//! the scenario's one [`Experiment`]: a flow reserves its batch from the
+//! shared budget at the top of its loop, proposes once its plate is
+//! staged, and tells the measurements when its image is graded, so N
+//! samples are split dynamically between handlers and the history is
+//! ordered by the simulated clock.
 
-use crate::app::AppError;
+use crate::app::{AppError, ExperimentOutcome};
+use crate::backend::{BackendCaps, BackendClose, BatchResult, PlateReader};
 use crate::config::AppConfig;
+use crate::experiment::Experiment;
+use crate::metrics::SdlMetrics;
 use crate::protocol::build_protocol;
 use parking_lot::Mutex;
-use sdl_color::Rgb8;
 use sdl_desim::{RngHub, SimDuration, SimTime, Simulation};
-use sdl_instruments::{ActionArgs, ActionData, WellIndex};
-use sdl_solvers::{ColorSolver, Observation};
-use sdl_vision::{Detector, DetectorScratch};
+use sdl_instruments::{ActionArgs, ActionData, Microplate, WellIndex};
 use sdl_wei::{Engine, Workcell, WorkcellConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// Outcome of a multi-OT2 run.
-#[derive(Debug, Clone)]
-pub struct MultiOt2Outcome {
-    /// Liquid handlers used.
-    pub n_ot2: usize,
-    /// Samples measured (== budget when plates suffice).
-    pub samples_measured: u32,
-    /// Wall duration on the virtual clock (the TWH of a fault-free run).
-    pub duration: SimDuration,
-    /// Robotic commands completed (the CCWH of a fault-free run).
-    pub robotic_commands: u64,
-    /// All commands completed.
-    pub total_commands: u64,
-    /// Best score achieved.
-    pub best_score: f64,
-    /// Samples processed by each handler.
-    pub per_handler_samples: Vec<u32>,
-    /// Plates consumed.
-    pub plates_used: u32,
-    /// Mean time per color.
-    pub time_per_color: SimDuration,
-    /// Degenerate-surrogate fallbacks recorded by the shared solver.
-    pub solver_fallbacks: u64,
-}
 
 /// Build a workcell document with `n` liquid handlers (each with its own
 /// replenisher) sharing one crane, arm and camera.
@@ -65,23 +44,30 @@ pub fn multi_ot2_workcell_yaml(n: usize) -> String {
     out
 }
 
-/// Shared state between flow processes.
+/// Lab state every flow shares: the workcell, the session that decides,
+/// and the per-handler tallies.
 struct Shared {
     engine: Engine,
-    solver: Box<dyn ColorSolver>,
-    solver_rng: rand::rngs::StdRng,
-    history: Vec<Observation>,
-    remaining: u32,
-    samples_done: u32,
+    session: Experiment,
     plates_used: u32,
     per_handler: Vec<u32>,
-    error: Option<String>,
+    error: Option<AppError>,
 }
 
-/// Run the shared budget over `n_ot2` handlers. Uses `base` for target,
-/// solver, budget, batch and seed; the workcell is generated.
-pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, AppError> {
+/// Run the shared budget of `base` over `n_ot2` handlers in a fresh
+/// session; the workcell is generated.
+pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<ExperimentOutcome, AppError> {
+    drive_multi_ot2(Experiment::new(base.clone())?, n_ot2)
+}
+
+/// Drive `session` to completion on `n_ot2` handlers, each batch decided
+/// by the session (campaign executors attach their event scope first).
+pub(crate) fn drive_multi_ot2(
+    session: Experiment,
+    n_ot2: usize,
+) -> Result<ExperimentOutcome, AppError> {
     assert!(n_ot2 >= 1);
+    let base = session.config().clone();
     let hub = RngHub::new(base.seed);
     let yaml = multi_ot2_workcell_yaml(n_ot2);
     let mut cell_cfg = WorkcellConfig::from_yaml(&yaml)?;
@@ -91,14 +77,16 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
     }
     let cell = Workcell::instantiate(cell_cfg, base.dyes.clone(), base.mix)?;
     let engine = Engine::new(cell, hub).with_faults(base.faults.clone());
+    let caps = BackendCaps {
+        plate_capacity: Microplate::standard96().well_count() as u32,
+        dye_channels: base.dyes.len() as u32,
+        provides_images: false,
+        real_telemetry: true,
+    };
 
     let shared = Arc::new(Mutex::new(Shared {
         engine,
-        solver: base.build_solver(base.dyes.len()).map_err(|e| AppError::Setup(e.to_string()))?,
-        solver_rng: hub.stream("app.solver"),
-        history: Vec::new(),
-        remaining: base.sample_budget,
-        samples_done: 0,
+        session,
         plates_used: 0,
         per_handler: vec![0; n_ot2],
         error: None,
@@ -116,22 +104,22 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
         res.insert(format!("barty_{i}"), sim.resource(format!("barty_{i}"), 1));
     }
 
-    let batch = base.batch;
-    let dyes = base.dyes.clone();
-    let watermark = base.refill_watermark_ul;
-    let compute_s = base.compute_seconds;
-
     for flow in 1..=n_ot2 {
         let shared = Arc::clone(&shared);
         let res = res.clone();
-        let dyes = dyes.clone();
         let cfg = base.clone();
         sim.process(format!("flow-{flow}"), move |ctx| {
             let ot2 = format!("ot2_{flow}");
             let barty = format!("barty_{flow}");
             let deck = format!("{ot2}.deck");
-            let detector = Detector::default();
-            let mut scratch = DetectorScratch::default();
+            let dyes = &cfg.dyes;
+            let mut reader = PlateReader::new(&cfg);
+
+            // Record the first error any flow hits; every flow stops at its
+            // next check.
+            let fail = |e: AppError| {
+                shared.lock().error.get_or_insert(e);
+            };
 
             // Dispatch one command while holding the module's resource.
             // Returns the data; records any engine error in `shared`.
@@ -147,7 +135,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                             Some(cmd.data)
                         }
                         Err(e) => {
-                            shared.lock().error.get_or_insert(e.to_string());
+                            fail(e.into());
                             ctx.release(r);
                             None
                         }
@@ -158,14 +146,16 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
             let mut have_plate = false;
             'outer: loop {
                 // Reserve a batch from the shared budget.
+                let batch_start = ctx.now();
                 let b = {
                     let mut s = shared.lock();
-                    if s.error.is_some() || s.remaining == 0 {
+                    if s.error.is_some() {
                         break 'outer;
                     }
-                    let b = s.remaining.min(batch);
-                    s.remaining -= b;
-                    b as usize
+                    match s.session.reserve(&caps) {
+                        Some(b) => b,
+                        None => break 'outer,
+                    }
                 };
 
                 // Plate lifecycle: fetch on demand, swap when a full batch
@@ -208,7 +198,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                                 true
                             }
                             Err(e) => {
-                                shared.lock().error.get_or_insert(e.to_string());
+                                fail(e.into());
                                 false
                             }
                         }
@@ -241,27 +231,21 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                     }
                 }
                 if wells.len() < b {
-                    shared.lock().error.get_or_insert("plate allocation failed".into());
+                    fail(AppError::Setup("plate allocation failed".into()));
                     break 'outer;
                 }
                 let wells = &wells[..b];
 
-                // Propose from the shared history.
-                let (ratios, protocol) = {
-                    let mut s = shared.lock();
-                    let Shared { solver, history, solver_rng, samples_done, .. } = &mut *s;
-                    // The shared counter orders concurrent flows, so a
-                    // moving target advances identically run to run.
-                    let target = cfg.target_at(*samples_done);
-                    let ratios = solver.propose(target, history, b, solver_rng);
-                    let protocol = match build_protocol(&ratios, wells, &dyes) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            s.error.get_or_insert(e.to_string());
-                            break 'outer;
-                        }
-                    };
-                    (ratios, protocol)
+                // Propose from the history as it stands once the plate is
+                // staged; a batch another flow told meanwhile may have
+                // ended the session.
+                let Some(batch) = shared.lock().session.propose(b) else { break 'outer };
+                let protocol = match build_protocol(&batch.ratios, wells, dyes) {
+                    Ok(p) => p,
+                    Err(e) => {
+                        fail(e.into());
+                        break 'outer;
+                    }
                 };
 
                 // Replenish this handler's bank when low.
@@ -269,7 +253,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                     let s = shared.lock();
                     match s.engine.workcell.world.bank(&ot2) {
                         Ok(bank) => {
-                            bank.reservoirs.iter().any(|r| r.volume_ul < watermark)
+                            bank.reservoirs.iter().any(|r| r.volume_ul < cfg.refill_watermark_ul)
                                 || !bank.can_supply(&protocol.demand_ul(dyes.len()))
                         }
                         Err(_) => false,
@@ -314,17 +298,14 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                         match cmd.data {
                             ActionData::Image(img) => img,
                             _ => {
-                                shared
-                                    .lock()
-                                    .error
-                                    .get_or_insert("camera returned no image".into());
+                                fail(AppError::Setup("camera returned no image".into()));
                                 ctx.release(cam);
                                 break 'outer;
                             }
                         }
                     }
                     Err(e) => {
-                        shared.lock().error.get_or_insert(e.to_string());
+                        fail(e.into());
                         ctx.release(cam);
                         break 'outer;
                     }
@@ -337,55 +318,56 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                 }
                 ctx.release(cam);
 
-                // Compute: detection + grading.
-                ctx.hold(SimDuration::from_secs_f64(compute_s));
-                let reading = match detector.detect_with(&image, &mut scratch) {
-                    Ok(r) => r,
+                // Compute: detection, then the session grades the batch.
+                ctx.hold(SimDuration::from_secs_f64(cfg.compute_seconds));
+                let measurements = match reader.read(&image, wells) {
+                    Ok(m) => m,
                     Err(e) => {
-                        shared.lock().error.get_or_insert(e.to_string());
+                        fail(e);
                         break 'outer;
                     }
                 };
+                let result = BatchResult {
+                    measurements,
+                    elapsed: ctx.now(),
+                    batch_wall: ctx.now() - batch_start,
+                    timing: None,
+                    image: None,
+                };
                 let mut s = shared.lock();
-                for (ratio, well) in ratios.iter().zip(wells) {
-                    let measured: Rgb8 =
-                        reading.well(well.row, well.col).map(|w| w.color).unwrap_or_default();
-                    let score = cfg.score_measurement(measured, s.samples_done);
-                    s.history.push(Observation { ratios: ratio.clone(), measured, score });
-                    s.samples_done += 1;
-                    s.per_handler[flow - 1] += 1;
+                s.per_handler[flow - 1] += b as u32;
+                if let Err(e) = s.session.tell(&batch, result) {
+                    s.error.get_or_insert(e);
+                    break 'outer;
                 }
             }
         });
     }
 
-    let outcome = sim.run().map_err(|e| AppError::Setup(e.to_string()))?;
-    let shared = Arc::try_unwrap(shared)
-        .map_err(|_| AppError::Setup("flow still holds shared state".into()))
-        .map(Mutex::into_inner)?;
-    if let Some(err) = shared.error {
-        return Err(AppError::Setup(err));
+    let end = sim.run().map_err(|e| AppError::Setup(e.to_string()))?.end;
+    let Shared { engine, mut session, plates_used, per_handler, error } = Arc::try_unwrap(shared)
+        .map_err(|_| AppError::Setup("flow still holds shared state".into()))?
+        .into_inner();
+    if let Some(e) = error {
+        return Err(e);
     }
-    let best =
-        sdl_solvers::best_observation(&shared.history).map(|o| o.score).unwrap_or(f64::INFINITY);
-    let duration = outcome.end - SimTime::ZERO;
-    let solver_fallbacks = shared.solver.degenerate_fallbacks();
-    Ok(MultiOt2Outcome {
-        n_ot2,
-        samples_measured: shared.samples_done,
-        duration,
-        robotic_commands: shared.engine.counters.robotic_completed,
-        total_commands: shared.engine.counters.completed,
-        best_score: best,
-        per_handler_samples: shared.per_handler,
-        plates_used: shared.plates_used,
-        time_per_color: if shared.samples_done > 0 {
-            duration / shared.samples_done as u64
-        } else {
-            SimDuration::ZERO
-        },
-        solver_fallbacks,
-    })
+    let samples = session.samples_measured();
+    let close = BackendClose {
+        duration: end - SimTime::ZERO,
+        metrics: SdlMetrics::compute(
+            &engine.history,
+            &engine.counters,
+            &engine.reliability,
+            SimTime::ZERO,
+            end,
+            samples,
+        ),
+        counters: engine.counters,
+        plates_used,
+    };
+    let mut outcome = session.outcome(close);
+    outcome.per_handler_samples = per_handler;
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -427,7 +409,7 @@ mod tests {
         );
         // Commands at least match the single-handler count (extra plate
         // logistics can only add).
-        assert!(two.robotic_commands >= one.robotic_commands.min(16 * 3));
+        assert!(two.counters.robotic_completed >= one.counters.robotic_completed.min(16 * 3));
     }
 
     #[test]

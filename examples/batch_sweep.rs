@@ -23,7 +23,7 @@ fn main() {
         "batch", "duration", "min/color", "best", "plates"
     );
     for result in &report.results {
-        let out = result.expect_single();
+        let out = result.expect_outcome();
         println!(
             "{:<6} {:>12} {:>12.2} {:>10.2} {:>8}",
             result.label(),

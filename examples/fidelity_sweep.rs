@@ -43,7 +43,7 @@ fn main() {
         let report = CampaignRunner::new().threads(1).run(subset);
         let wall = t.elapsed().as_secs_f64();
         let scores: Vec<f64> =
-            report.results.iter().map(|r| r.expect_outcome().best_score()).collect();
+            report.results.iter().map(|r| r.expect_outcome().best_score).collect();
         let mean = scores.iter().sum::<f64>() / scores.len() as f64;
         rows.push((profile, wall, n, mean));
     }

@@ -58,7 +58,7 @@ fn main() {
                     );
                     if let Some(result) = report.by_label(&label) {
                         if let Ok(out) = &result.outcome {
-                            scores.push(out.best_score() / objective.scale());
+                            scores.push(out.best_score / objective.scale());
                         }
                     }
                 }

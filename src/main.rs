@@ -420,9 +420,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         println!(
             "{:<6} {:>12} {:>10.2} {:>8}",
             result.label(),
-            out.duration().to_string(),
-            out.best_score(),
-            out.plates_used()
+            out.duration.to_string(),
+            out.best_score,
+            out.plates_used
         );
     }
     Ok(())

@@ -128,7 +128,7 @@ fn declarative_matrix_runs_end_to_end() {
     assert_eq!(scenarios.len(), 4);
     let report = CampaignRunner::new().threads(2).run(scenarios);
     for (label, outcome) in report.expect_all() {
-        assert_eq!(outcome.samples_measured(), 4, "{label}");
+        assert_eq!(outcome.samples_measured, 4, "{label}");
     }
 }
 

@@ -52,7 +52,7 @@ fn remote_campaign_is_bit_identical_to_sim() {
     );
     // Full telemetry survives the wire, not just the fingerprinted fields.
     for (s, r) in sim.results.iter().zip(&remote.results) {
-        let (s, r) = (s.expect_single(), r.expect_single());
+        let (s, r) = (s.expect_outcome(), r.expect_outcome());
         assert_eq!(s.metrics, r.metrics, "metrics drifted over the wire");
         assert_eq!(s.counters, r.counters);
         assert_eq!(s.termination, r.termination);
